@@ -14,7 +14,7 @@ use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 use soc_traces::gen::{FleetConfig, TraceGenerator};
 
 /// Replay the naive-overclock week against the rack limit, emitting the
-/// causally-linked event chain a rack runtime would produce: approaching the
+/// causally-linked event chain a rack monitor would produce: approaching the
 /// limit raises `rack_warning`; crossing it raises `rack_capping` (caused by
 /// the warning), caps the highest-drawing servers (`cap_set`, caused by the
 /// capping decision) and revokes their overclock (`revoke`, caused by the

@@ -15,7 +15,6 @@
 //! each stay within their local limit while their sum tramples the feed —
 //! exactly the failure mode hierarchical budgets exist to prevent.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use soc_power::hierarchy::{heterogeneous_split, DemandProfile};
 use soc_power::units::Watts;
@@ -52,7 +51,7 @@ pub fn nested_split(dc_budget: Watts, racks: &[Vec<DemandProfile>]) -> Vec<Vec<W
 }
 
 /// Configuration for the datacenter coordination experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatacenterConfig {
     /// Number of racks on the shared feed.
     pub racks: usize,
@@ -81,7 +80,7 @@ impl DatacenterConfig {
 }
 
 /// Outcome of the flat-vs-nested comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatacenterOutcome {
     /// Evaluated steps.
     pub steps: u64,

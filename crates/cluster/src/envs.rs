@@ -5,7 +5,6 @@
 //! Baseline and Overclock run a single VM at turbo (3.3 GHz) and overclocked
 //! (4.0 GHz) frequency. ScaleOut has two VMs running at turbo." (§III-Q1)
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use soc_power::freq::FrequencyPlan;
 use soc_power::units::MegaHertz;
@@ -14,7 +13,7 @@ use soc_workloads::microservice::{MicroserviceSim, ServiceSpec};
 use soc_workloads::socialnet::LoadLevel;
 
 /// The three environments of Figs. 2–3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// One VM at max turbo.
     Baseline,
@@ -58,7 +57,7 @@ impl std::fmt::Display for Environment {
 }
 
 /// Result of one service × load × environment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceRunResult {
     /// P99 latency, ms.
     pub p99_ms: f64,

@@ -15,7 +15,6 @@
 //! heterogeneous budgets, decentralized enforcement, and proactive
 //! scale-out).
 
-use serde::{Deserialize, Serialize};
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
@@ -36,7 +35,7 @@ use soc_workloads::socialnet::{socialnet_services, LoadLevel};
 use std::collections::BTreeMap;
 
 /// Which control system manages the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// No scaling of any kind.
     Baseline,
@@ -90,7 +89,7 @@ impl std::fmt::Display for SystemKind {
 }
 
 /// Cluster experiment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// The control system under test.
     pub system: SystemKind,
@@ -118,12 +117,10 @@ pub struct ClusterConfig {
     /// RNG seed.
     pub seed: u64,
     /// Control-plane fault schedule (default: no faults).
-    #[serde(default)]
     pub faults: FaultPlanConfig,
     /// Per-part silicon heterogeneity (default: uniform fleet). Each
     /// overclockable server draws its part from the shared seed; its sOA
     /// enforces the drawn bin and `risk_budget` at admission.
-    #[serde(default)]
     pub binning: BinningConfig,
 }
 
@@ -168,7 +165,7 @@ impl ClusterConfig {
 }
 
 /// Result for one SocialNet instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InstanceResult {
     /// Service name.
     pub name: String,
@@ -189,7 +186,7 @@ pub struct InstanceResult {
 }
 
 /// Aggregate outcome of a cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterResult {
     /// Which system ran.
     pub system: SystemKind,

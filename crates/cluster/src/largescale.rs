@@ -16,7 +16,6 @@
 
 pub use crate::largescale_metrics::{PolicyMetrics, RackOutcome};
 use crate::probe::{NoopProbe, ShardProbe};
-use serde::{Deserialize, Serialize};
 use simcore::faults::{FaultPlan, FaultPlanConfig};
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::epoch::EpochTracker;
@@ -35,7 +34,7 @@ use soc_traces::fleet::RackTrace;
 use soc_traces::gen::FleetConfig;
 
 /// Configuration of the large-scale simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LargeScaleConfig {
     /// Number of racks to simulate.
     pub racks: usize,
@@ -60,18 +59,15 @@ pub struct LargeScaleConfig {
     /// Control-plane fault schedule (default: no faults). Applies only to
     /// the evaluation weeks; realized per-rack from the shared seed so fault
     /// timelines compose with sharded execution.
-    #[serde(default)]
     pub faults: FaultPlanConfig,
     /// How the `Central` baseline behaves while the fault plan marks the
     /// gOA/central controller unreachable: `true` = fail-open (stale
     /// permissions stand, no enforcement — risks budget violations),
     /// `false` = fail-stop (deny all overclocking — forfeits OC uptime).
-    #[serde(default)]
     pub central_fail_open: bool,
     /// Per-part silicon heterogeneity (default: uniform fleet). Realized
     /// per-server from the shared seed (stateless draws), so bin identities
     /// compose with sharded execution exactly like the fault timelines.
-    #[serde(default)]
     pub binning: BinningConfig,
     /// Kill switch for the columnar engine's weekly slot memoization: when
     /// set, every step predicts through the per-step fallback path instead
@@ -80,7 +76,6 @@ pub struct LargeScaleConfig {
     /// path, so it exists for debugging and for exercising the fallback
     /// (which is otherwise unreachable: template training requires a step
     /// that divides a day, and every day-divisor also divides the week).
-    #[serde(default)]
     pub disable_slot_memo: bool,
 }
 

@@ -10,7 +10,6 @@
 //! (paper §IV-C)
 
 use crate::policy::PolicyKind;
-use serde::{Deserialize, Serialize};
 use simcore::faults::FaultPlan;
 use simcore::series::TimeSeries;
 use simcore::time::SimTime;
@@ -21,7 +20,7 @@ use soc_predict::template::{PowerTemplate, TemplateKind};
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 
 /// One server's weekly profile as exchanged with the gOA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerProfile {
     /// Template of the server's *regular* (non-overclocked) power draw.
     pub regular_power: PowerTemplate,
@@ -80,7 +79,7 @@ impl ServerProfile {
 /// ]);
 /// assert_eq!(budgets, vec![Watts::new(600.0), Watts::new(700.0)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalOverclockAgent {
     rack_limit: Watts,
     policy: PolicyKind,

@@ -11,10 +11,9 @@
 //! time if the estimate is too low." (paper §IV-A)
 
 use crate::wi::{MetricKind, MetricTrigger};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for threshold inference.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceConfig {
     /// Fraction of time the lifetime budget allows overclocking
     /// (e.g. 0.10 → the scale-up threshold is the P90 of history).

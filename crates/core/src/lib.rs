@@ -28,10 +28,8 @@
 //!   exhaustion window, 100 MHz frequency steps).
 //!
 //! The agents are deliberately I/O-free: they consume observations and emit
-//! commands, so the same code drives the real-time cluster harness
-//! (`soc-cluster`), the large-scale trace simulations, and the
-//! deployment-shaped threaded runtime ([`runtime`] — one sOA per thread
-//! behind message channels).
+//! commands, so the same code drives both the real-time cluster harness
+//! (`soc-cluster`) and the large-scale trace simulations.
 
 #![forbid(unsafe_code)]
 
@@ -41,7 +39,6 @@ pub mod goa;
 pub mod infer;
 pub mod messages;
 pub mod policy;
-pub mod runtime;
 pub mod soa;
 pub mod wi;
 

@@ -1,15 +1,12 @@
 //! Types exchanged between the Workload Intelligence agents, the Server
 //! Overclocking Agent, and the Global Overclocking Agent.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use soc_power::units::MegaHertz;
 use std::fmt;
 
 /// Identifier of a granted overclocking request.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GrantId(pub u64);
 
 impl fmt::Display for GrantId {
@@ -19,7 +16,7 @@ impl fmt::Display for GrantId {
 }
 
 /// An overclocking request submitted by a local WI agent to its sOA.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverclockRequest {
     /// Label of the requesting VM (for reporting).
     pub vm: String,
@@ -40,7 +37,6 @@ pub struct OverclockRequest {
     /// Causal decision id of the control-plane decision that triggered this
     /// request (e.g. the WI agent's `wi_oc_start`). `0` means "no cause";
     /// ids are allocated by `soc_telemetry::Telemetry::next_id`.
-    #[serde(default)]
     pub cause: u64,
 }
 
@@ -88,7 +84,7 @@ impl OverclockRequest {
 }
 
 /// Why an overclocking request was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// Admission control predicts the extra power would exceed the server's
     /// power budget.
@@ -121,7 +117,7 @@ impl fmt::Display for RejectReason {
 impl std::error::Error for RejectReason {}
 
 /// Events emitted by the sOA's control loop for the platform to act on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SoaEvent {
     /// Set the effective frequency of a grant's cores.
     SetFrequency {
@@ -153,7 +149,7 @@ pub enum SoaEvent {
 }
 
 /// Why a grant ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrantEndReason {
     /// The workload released it.
     Released,
@@ -167,7 +163,7 @@ pub enum GrantEndReason {
 }
 
 /// The resource an [`SoaEvent::ExhaustionWarning`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExhaustedResource {
     /// Power headroom under the assigned budget.
     Power,

@@ -6,10 +6,8 @@
 //! budgets with no exploration beyond, and (4) NoWarning – a system that
 //! allows exploring but with no warnings." (paper §V-B)
 
-use serde::{Deserialize, Serialize};
-
 /// Which overclocking-management policy a deployment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Oracle with a global, instantaneous view of rack power; admission is
     /// decided against the *actual* rack headroom rather than predictions.

@@ -1627,6 +1627,37 @@ mod tests {
     }
 
     #[test]
+    fn restart_revokes_grants_and_rejoins_conservatively() {
+        let mut a = agent(PolicyKind::SmartOClock);
+        let grant = a
+            .request_overclock(SimTime::ZERO, oc_request(8))
+            .expect("headroom before the fault");
+        // The process restarts: volatile state is gone.
+        let events = a.restart(SimTime::from_secs(30));
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                SoaEvent::GrantEnded {
+                    grant: g,
+                    reason: GrantEndReason::AgentRestart,
+                } if *g == grant
+            )),
+            "restart must revoke the live grant: {events:?}"
+        );
+        assert_eq!(a.grants().count(), 0);
+        // Conservative re-join: no budget yet, so admission denies.
+        let err = a
+            .request_overclock(SimTime::from_secs(31), oc_request(8))
+            .unwrap_err();
+        assert_eq!(err, RejectReason::PowerBudget);
+        // A fresh gOA assignment restores service.
+        a.set_power_budget(Watts::new(450.0));
+        let _ = a
+            .request_overclock(SimTime::from_secs(32), oc_request(8))
+            .expect("fresh budget restores admission");
+    }
+
+    #[test]
     fn restart_preserves_silicon_identity_and_wear_ledger() {
         let plan = PowerModel::reference_server().plan();
         let part = marginal_part(plan.max_overclock(), 0.3);

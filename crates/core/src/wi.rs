@@ -8,12 +8,11 @@
 //! corrective action (scale-out) when overclocking is rejected or predicted
 //! to run out.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use soc_telemetry::{tm_event, Component, Severity, Telemetry};
 
 /// Which metric a metrics-based trigger watches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetricKind {
     /// Tail (P99) latency in milliseconds.
     TailLatencyMs,
@@ -26,7 +25,7 @@ pub enum MetricKind {
 /// Threshold pair for a metrics-based trigger. Overclocking starts when the
 /// aggregated metric exceeds `scale_up` and stops below `scale_down`
 /// (hysteresis avoids dithering, §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricTrigger {
     /// The watched metric.
     pub kind: MetricKind,
@@ -56,7 +55,7 @@ impl MetricTrigger {
 
 /// A daily schedule window for schedule-based overclocking (e.g. "9-10 AM
 /// local time", §IV-A).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleWindow {
     /// Window start, hours from midnight.
     pub start_hour: f64,
@@ -94,7 +93,7 @@ impl ScheduleWindow {
 }
 
 /// Per-service overclocking policy configured by the workload owner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverclockPolicy {
     /// Metrics-based trigger, if any.
     pub trigger: Option<MetricTrigger>,
@@ -141,7 +140,7 @@ impl OverclockPolicy {
 }
 
 /// One VM's metric snapshot, as reported by its local WI agent.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VmMetrics {
     /// P99 latency over the last window, ms (NaN when idle).
     pub tail_latency_ms: f64,
@@ -153,7 +152,7 @@ pub struct VmMetrics {
 
 /// Local WI agent: smooths raw per-VM metrics with an EWMA before they reach
 /// the global agent (jittery single-window tails would cause dithering).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalWiAgent {
     alpha: f64,
     smoothed: Option<VmMetrics>,
@@ -223,7 +222,7 @@ fn ewma(alpha: f64, prev: f64, new: f64) -> f64 {
 }
 
 /// What the global agent wants the platform to do this round.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WiDecision {
     /// Whether the service should be overclocked right now.
     pub overclock: bool,
@@ -234,7 +233,7 @@ pub struct WiDecision {
 }
 
 /// Global WI agent for one service deployment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalWiAgent {
     policy: OverclockPolicy,
     latest: Vec<VmMetrics>,
@@ -244,11 +243,9 @@ pub struct GlobalWiAgent {
     /// Causal decision id of the `wi_oc_start` that opened the current
     /// overclocking episode (`0` when not overclocking or telemetry is off).
     /// Tracing-only: never feeds back into [`decide`](Self::decide).
-    #[serde(default)]
     current_decision: u64,
     /// Causal decision id of the event (denial, exhaustion warning) that made
     /// the next `wi_scale_out` necessary; `0` when unknown.
-    #[serde(default)]
     scale_out_cause: u64,
 }
 

@@ -7,13 +7,10 @@
 
 use crate::model::{CoreState, PowerModel};
 use crate::units::{MegaHertz, Watts};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Identifier of a server within a simulation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ServerId(pub usize);
 
 impl std::fmt::Display for ServerId {
@@ -35,7 +32,7 @@ impl std::fmt::Display for ServerId {
 /// srv.apply_cap(model.plan().base());
 /// assert!(srv.power() < before); // capping lowers power
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerPower {
     id: ServerId,
     model: PowerModel,

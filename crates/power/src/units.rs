@@ -3,7 +3,6 @@
 //! Newtypes keep watts, megahertz, and volts from being mixed up in the
 //! budget arithmetic that SmartOClock does constantly (C-NEWTYPE).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(headroom, Watts::new(600.0));
 /// assert_eq!(headroom * 0.5, Watts::new(300.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Watts(f64);
 
 impl Watts {
@@ -135,9 +134,7 @@ impl fmt::Display for Watts {
 /// assert_eq!(oc, MegaHertz::new(4000));
 /// assert!((oc.ratio(turbo) - 1.212).abs() < 0.01);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct MegaHertz(u32);
 
 impl MegaHertz {
@@ -214,7 +211,7 @@ impl fmt::Display for MegaHertz {
 }
 
 /// Core supply voltage in volts.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Volts(f64);
 
 impl Volts {

@@ -6,13 +6,12 @@
 //! Fig. 15 (mean-error CDF per technique) plot.
 
 use crate::template::{PowerTemplate, TemplateKind};
-use serde::{Deserialize, Serialize};
 use simcore::series::TimeSeries;
 use simcore::stats::{mean_error, rmse};
 use simcore::time::{SimDuration, SimTime};
 
 /// Accuracy of one walk-forward evaluation over a series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkForwardReport {
     /// Root-mean-squared error across all evaluated samples.
     pub rmse: f64,

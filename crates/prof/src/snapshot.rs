@@ -75,9 +75,10 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Derived throughputs and ratios (racks_per_sec, speedup_t4, …).
     pub rates: BTreeMap<String, f64>,
-    /// Process peak RSS in bytes (0 when unavailable).
+    /// Process peak RSS in bytes (0 when unavailable; rendered as `n/a`).
     pub peak_rss_bytes: u64,
-    /// Allocations counted by [`crate::CountingAlloc`] (0 when not installed).
+    /// Allocations counted by [`crate::CountingAlloc`] (0 when not
+    /// installed; rendered as `n/a`).
     pub alloc_count: u64,
     /// Bytes allocated (same caveat).
     pub alloc_bytes: u64,
@@ -218,13 +219,19 @@ impl Snapshot {
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "== profile: {} ==", self.name);
+        // Zero means "not measured" (no VmHWM, no CountingAlloc), not zero.
+        let rss = match self.peak_rss_bytes {
+            0 => "n/a".to_string(),
+            b => fmt_bytes(b),
+        };
+        let allocs = match self.alloc_count {
+            0 => "n/a".to_string(),
+            n => format!("{n} ({})", fmt_bytes(self.alloc_bytes)),
+        };
         let _ = writeln!(
             out,
-            "total {:.1} ms | peak rss {} | allocs {} ({})",
+            "total {:.1} ms | peak rss {rss} | allocs {allocs}",
             self.total_ms,
-            fmt_bytes(self.peak_rss_bytes),
-            self.alloc_count,
-            fmt_bytes(self.alloc_bytes),
         );
         if !self.meta.is_empty() {
             let pairs: Vec<String> = self.meta.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -395,6 +402,16 @@ mod tests {
         assert!(text.contains("sim/admission"));
         assert!(text.contains("sim_steps"));
         assert!(text.contains("racks_per_sec"));
+        assert!(text.contains("peak rss 5.0 MiB | allocs 42 (64.0 KiB)"));
+        // Unmeasured memory reads `n/a`, never a fake zero.
+        let unmeasured = Snapshot {
+            peak_rss_bytes: 0,
+            alloc_count: 0,
+            alloc_bytes: 0,
+            ..sample()
+        };
+        let text = unmeasured.render();
+        assert!(text.contains("peak rss n/a | allocs n/a"), "{text}");
     }
 
     #[test]

@@ -28,7 +28,6 @@
 //! returns `None` when no overclocked level fits (*bin-denial*).
 
 use crate::wear::WearModel;
-use serde::{Deserialize, Serialize};
 use simcore::rng::Pcg32;
 use soc_power::freq::FrequencyPlan;
 use soc_power::units::MegaHertz;
@@ -50,40 +49,28 @@ fn mix64(mut z: u64) -> u64 {
 /// [`uniform`](Self::uniform) configuration (one bin, no wear spread) is
 /// byte-transparent: every part draws the ideal silicon and no binning
 /// telemetry, counters, or wear accounting is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BinningConfig {
     /// Number of frequency bins parts are sorted into (1 = uniform fleet).
-    #[serde(default = "default_bins")]
     pub bins: u32,
     /// Admission risk budget in `[0, 1]`: a part may run overclocked only
     /// while `risk × oc_fraction ≤ risk_budget`. `1.0` admits everything
     /// the part's bin allows; `0.0` denies marginal parts outright.
-    #[serde(default = "default_risk_budget")]
     pub risk_budget: f64,
     /// Half-width of the per-part wear-multiplier spread: voltage and
     /// temperature acceleration multipliers draw uniformly from
     /// `[1 − spread, 1 + spread]`. `0.0` keeps the uniform wear model.
-    #[serde(default)]
     pub wear_spread: f64,
     /// Seed of the silicon lottery (manufacturing variation).
-    #[serde(default)]
     pub seed: u64,
-}
-
-fn default_bins() -> u32 {
-    1
-}
-
-fn default_risk_budget() -> f64 {
-    1.0
 }
 
 impl BinningConfig {
     /// The degenerate single-bin configuration: every part is ideal.
     pub fn uniform() -> BinningConfig {
         BinningConfig {
-            bins: default_bins(),
-            risk_budget: default_risk_budget(),
+            bins: 1,
+            risk_budget: 1.0,
             wear_spread: 0.0,
             seed: 0,
         }
@@ -163,7 +150,7 @@ impl Default for BinningConfig {
 
 /// One part's manufacturing-test identity: its frequency bin, certified
 /// maximum overclock, wear-acceleration multipliers, and risk score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiliconPart {
     /// Frequency bin (0 = best silicon).
     pub bin: u32,

@@ -10,12 +10,11 @@
 //! (metrics-based) overclocking and also carried over to the next epoch."
 //! (paper §IV-B)
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// Errors from budget operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BudgetError {
     /// The remaining unreserved budget in this epoch is insufficient.
     InsufficientBudget {
@@ -65,7 +64,7 @@ impl std::error::Error for BudgetError {}
 /// b.consume(SimTime::ZERO, SimDuration::from_hours(2)).unwrap();
 /// assert_eq!(b.remaining(), SimDuration::from_hours(14) + SimDuration::from_minutes(48));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverclockBudget {
     /// Fraction of wall-clock time that may be overclocked.
     fraction: f64,

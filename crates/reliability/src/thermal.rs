@@ -14,12 +14,11 @@
 //! mechanism by which immersion cooling buys extra overclocking duration.
 
 use crate::wear::WearModel;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use soc_power::units::{MegaHertz, Watts};
 
 /// Cooling technology of a server deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Cooling {
     /// Conventional air cooling (the paper's deployment).
     Air,
@@ -82,7 +81,7 @@ impl std::fmt::Display for Cooling {
 /// // Steady state: 30°C ambient + 0.14°C/W x 400W = 86°C.
 /// assert!((t.junction_c() - 86.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     cooling: Cooling,
     /// Thermal time constant.

@@ -29,7 +29,6 @@
 //!    always-overclock rate well above 1, and an overclock-aware policy that
 //!    spends only accumulated credits stays at or below expected ageing.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use soc_power::freq::VoltageCurve;
 use soc_power::units::MegaHertz;
@@ -46,7 +45,7 @@ use soc_power::units::MegaHertz;
 /// let oc = model.ageing_rate(0.5, plan.max_overclock(), model.reference_temp_c());
 /// assert!(oc > base); // overclocking accelerates wear
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WearModel {
     /// Idle (static) ageing rate.
     alpha: f64,
@@ -219,7 +218,7 @@ impl Default for WearModel {
 /// ledger.record(0.4, SimDuration::from_days(1));
 /// assert!((ledger.credit_days() - 0.6).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AgeingLedger {
     actual_days: f64,
     elapsed_days: f64,

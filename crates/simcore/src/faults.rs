@@ -26,7 +26,6 @@
 
 use crate::rng::Pcg32;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Dedicated PCG stream for fault-window generation, disjoint from the
 /// workload/trace streams so adding faults never perturbs trace generation.
@@ -40,7 +39,7 @@ const SALT_PREDICTION_NOISE: u64 = 0xD204;
 const SALT_SOA_RESTART: u64 = 0xD205;
 
 /// The kinds of control-plane faults a plan can inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The gOA is unreachable: no budget recomputation; sOAs run on stale
     /// budgets.
@@ -75,7 +74,7 @@ impl FaultKind {
 }
 
 /// A half-open `[start, end)` window during which a fault is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultWindow {
     /// First affected instant.
     pub start: SimTime,
@@ -104,7 +103,7 @@ impl FaultWindow {
 /// experiment's fault plan can be pinned in a config file or golden test.
 ///
 /// The default ([`FaultPlanConfig::none`]) injects nothing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlanConfig {
     /// Seed of the fault schedule (independent of the workload seed).
     pub seed: u64,
@@ -194,7 +193,7 @@ impl Default for FaultPlanConfig {
 ///
 /// Construction pre-draws the gOA outage windows; all point-fault queries
 /// are stateless hashes. Same config + horizon ⇒ byte-identical plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     config: FaultPlanConfig,
     outages: Vec<FaultWindow>,

@@ -6,8 +6,6 @@
 //! recording and O(buckets) quantiles, using logarithmically spaced buckets
 //! (as production latency recorders do).
 
-use serde::{Deserialize, Serialize};
-
 /// A log-bucketed histogram over positive values.
 ///
 /// Values are assigned to buckets whose boundaries grow geometrically by
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((p50 - 500.0).abs() / 500.0 < 0.02);
 /// assert_eq!(h.count(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     precision: f64,
     log_gamma: f64,

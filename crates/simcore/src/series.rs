@@ -7,7 +7,6 @@
 
 use crate::stats::{mean, percentile};
 use crate::time::{SimDuration, SimTime, Weekday};
-use serde::{Deserialize, Serialize};
 
 /// A regularly-sampled series of `f64` values.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(ts.len(), 3);
 /// assert_eq!(ts.value_at(SimTime::ZERO + SimDuration::from_minutes(7)), Some(2.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     start: SimTime,
     step: SimDuration,

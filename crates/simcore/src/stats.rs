@@ -6,8 +6,6 @@
 //! (Fig. 15); the helpers here implement those metrics exactly once so every
 //! crate agrees on definitions.
 
-use serde::{Deserialize, Serialize};
-
 /// Linearly-interpolated percentile of an unsorted slice (`p` in `[0, 100]`).
 ///
 /// Uses the standard "linear interpolation between closest ranks" definition
@@ -119,7 +117,7 @@ pub fn mean_error(predicted: &[f64], actual: &[f64]) -> f64 {
 /// assert_eq!(cdf.quantile(0.0), 1.0);
 /// assert_eq!(cdf.quantile(1.0), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -192,7 +190,7 @@ impl Ecdf {
 /// assert_eq!(s.mean(), 2.0);
 /// assert_eq!(s.count(), 3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

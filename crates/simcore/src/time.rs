@@ -6,7 +6,6 @@
 //! deterministic — exactly what the power-template logic in `soc-predict`
 //! needs (per-weekday aggregation, weekend/weekday split).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -22,19 +21,15 @@ pub const MICROS_PER_SEC: u64 = 1_000_000;
 /// assert_eq!(t.weekday(), Weekday::Tuesday);
 /// assert_eq!(t.time_of_day().as_hours_f64(), 2.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time (microseconds).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 /// Day of the simulated week. The simulation epoch is a Monday.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Weekday {
     Monday,
     Tuesday,

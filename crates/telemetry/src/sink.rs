@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Destination for telemetry events. Implementations must be thread-safe:
-/// the rack runtime emits from one thread per sOA.
+/// sharded simulations emit from `simcore::par` worker threads.
 pub trait Sink: Send + Sync {
     /// Record one event.
     fn record(&self, event: &Event);

@@ -4,14 +4,13 @@
 //! rack and server power, and VM-level CPU utilization. All data is collected
 //! for 6 weeks, at a 5-minute granularity" (§V-B).
 
-use serde::{Deserialize, Serialize};
 use simcore::series::TimeSeries;
 use simcore::stats::Ecdf;
 use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 
 /// CPU generation of a rack's servers (the §V-B fleets mix Intel and AMD).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CpuGeneration {
     /// AMD-generation servers (the paper's cluster hardware).
     Amd,
@@ -39,7 +38,7 @@ impl std::fmt::Display for CpuGeneration {
 }
 
 /// Telemetry for one server over the trace span.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerTrace {
     /// Server index within its rack.
     pub index: usize,
@@ -99,7 +98,7 @@ impl ServerTrace {
 }
 
 /// Telemetry for one rack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackTrace {
     /// Rack index within the fleet.
     pub index: usize,
@@ -160,7 +159,7 @@ impl RackTrace {
 }
 
 /// A complete fleet trace: many racks, one region tag.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetTrace {
     /// Region label (for Fig. 5 / Fig. 8 style multi-region comparisons).
     pub region: String,

@@ -18,7 +18,6 @@
 
 use crate::fleet::{CpuGeneration, FleetTrace, RackTrace, ServerTrace};
 use crate::services::{background_service, service_a, service_b, service_c, ServiceProfile};
-use serde::{Deserialize, Serialize};
 use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
@@ -26,7 +25,7 @@ use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 
 /// Configuration for fleet generation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Region label.
     pub region: String,

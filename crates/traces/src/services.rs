@@ -8,10 +8,9 @@
 //! predictable.
 
 use crate::shape::LoadShape;
-use serde::{Deserialize, Serialize};
 
 /// A named service profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceProfile {
     /// Service name.
     pub name: String,

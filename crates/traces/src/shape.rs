@@ -12,11 +12,10 @@
 //! * [`LoadShape::Composite`] — weighted mixture of shapes, used when one
 //!   VM's activity blends several patterns.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 
 /// A deterministic utilization pattern over simulated time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LoadShape {
     /// Daily plateau between `peak_start_hour` and `peak_end_hour` (fractional
     /// hours, local time), with smooth half-hour ramps on each side.

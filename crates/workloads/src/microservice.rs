@@ -14,7 +14,6 @@
 //! and SmartOClock's agents use.
 
 use crate::loadgen::RateSchedule;
-use serde::{Deserialize, Serialize};
 use simcore::event::EventQueue;
 use simcore::rng::Pcg32;
 use simcore::stats::percentile;
@@ -23,7 +22,7 @@ use soc_power::units::MegaHertz;
 use std::collections::VecDeque;
 
 /// Static description of one microservice.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// Service name (e.g. `"UrlShort"`).
     pub name: String,
@@ -81,7 +80,7 @@ impl ServiceSpec {
 }
 
 /// Aggregated observations over one control window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowStats {
     /// Window length.
     pub window: SimDuration,
