@@ -7,6 +7,7 @@
 //! SLO-miss.
 
 use crate::trace::{Trace, TraceEvent};
+use soc_telemetry::json::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -130,23 +131,23 @@ pub fn stats(trace: &Trace, terminals: &[&str]) -> ChainStats {
 /// Render one event for a chain timeline: label plus its fields (ids last).
 fn render_event(out: &mut String, event: &TraceEvent, indent: usize) {
     let _ = write!(out, "{:indent$}{}", "", event.label(), indent = indent);
-    if let crate::json::JsonValue::Obj(members) = &event.fields {
+    if let JsonValue::Obj(members) = &event.fields {
         for (k, v) in members {
             if k == "decision_id" || k == "cause_id" {
                 continue;
             }
             let _ = write!(out, " {k}=");
             match v {
-                crate::json::JsonValue::Str(s) => {
+                JsonValue::Str(s) => {
                     let _ = write!(out, "{s}");
                 }
-                crate::json::JsonValue::Int(n) => {
+                JsonValue::Int(n) => {
                     let _ = write!(out, "{n}");
                 }
-                crate::json::JsonValue::Float(x) => {
+                JsonValue::Float(x) => {
                     let _ = write!(out, "{x:.3}");
                 }
-                crate::json::JsonValue::Bool(b) => {
+                JsonValue::Bool(b) => {
                     let _ = write!(out, "{b}");
                 }
                 _ => {

@@ -1,6 +1,6 @@
 //! Loading and canonicalizing JSONL telemetry traces.
 
-use crate::json::{self, JsonValue};
+use soc_telemetry::json::{self, JsonValue};
 use std::fmt;
 use std::path::Path;
 
@@ -294,6 +294,19 @@ broken"#,
         match err {
             TraceError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected: {other}"),
+        }
+    }
+
+    #[test]
+    fn deeply_nested_lines_are_parse_errors() {
+        for line in ["[".repeat(1_000_000), "{\"a\":".repeat(100_000)] {
+            match Trace::parse(&format!("{LINES}{line}\n")).unwrap_err() {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, LINES.lines().count() + 1);
+                    assert!(message.contains("nested deeper"), "{message}");
+                }
+                other => panic!("unexpected: {other}"),
+            }
         }
     }
 

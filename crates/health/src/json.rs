@@ -4,14 +4,14 @@
 //! order with series in canonical `BTreeMap` key order and numbers in Rust's
 //! shortest round-trip `Display` form, so the same run always serializes to
 //! the same bytes — the CI fault-tolerance gate greps the output directly.
-//! Reading goes through `soc-analyze`'s hand-rolled JSON parser (this crate
-//! already links it for causal chains), keeping soc-health dependency-free.
+//! Writing and reading go through the workspace's one JSON codec,
+//! `soc_telemetry::json`, keeping soc-health free of external dependencies.
 
 use crate::incident::Incident;
 use crate::rules::Alert;
 use crate::series::{Bucket, Series, SeriesStore};
 use crate::HealthReport;
-use soc_analyze::json::{parse, JsonValue};
+use soc_telemetry::json::{fmt_num, json_string, parse, JsonValue};
 use std::fmt::Write as _;
 
 /// Health report schema version.
@@ -19,37 +19,6 @@ pub const SCHEMA: u64 = 1;
 
 /// The `kind` discriminator every health report carries.
 pub const KIND: &str = "soc-health-report";
-
-/// Escape `s` into a JSON string literal (including the quotes).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float canonically: Rust's `Display` is the shortest decimal
-/// that round-trips to the same bits. JSON has no Inf/NaN; the store drops
-/// non-finite samples, but the writer must still emit valid JSON.
-fn fmt_num(v: f64) -> String {
-    if !v.is_finite() {
-        return "0".to_string();
-    }
-    format!("{v}")
-}
 
 fn fmt_opt(v: Option<u64>) -> String {
     match v {
@@ -61,7 +30,7 @@ fn fmt_opt(v: Option<u64>) -> String {
 fn alert_json(a: &Alert) -> String {
     format!(
         "{{\"rule\":{},\"entity\":{},\"start_us\":{},\"end_us\":{},\"peak\":{},\"decision_id\":{}}}",
-        escape(&a.rule),
+        json_string(&a.rule),
         a.entity,
         a.start_us,
         fmt_opt(a.end_us),
@@ -79,7 +48,7 @@ fn incident_json(i: &Incident) -> String {
         fmt_opt(i.end_us),
         fmt_opt(i.duration_us()),
         i.root_decision,
-        escape(&i.cause),
+        json_string(&i.cause),
         alerts.join(",")
     )
 }
@@ -113,8 +82,8 @@ pub fn to_json(report: &HealthReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"schema\": {SCHEMA},");
-    let _ = writeln!(out, "  \"kind\": {},", escape(KIND));
-    let _ = writeln!(out, "  \"name\": {},", escape(&report.name));
+    let _ = writeln!(out, "  \"kind\": {},", json_string(KIND));
+    let _ = writeln!(out, "  \"name\": {},", json_string(&report.name));
     // One line each so CI can grep the counts without a JSON parser.
     let _ = writeln!(
         out,
@@ -151,7 +120,7 @@ pub fn to_json(report: &HealthReport) -> String {
         let _ = write!(
             out,
             "{}: {}",
-            escape(&format!("{metric}{{entity={entity}}}")),
+            json_string(&format!("{metric}{{entity={entity}}}")),
             series_json(series)
         );
     }

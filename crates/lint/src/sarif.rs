@@ -8,13 +8,14 @@
 //! visible in the same artifact as the live findings.
 //!
 //! Hand-rolled like the other renderers (no serde in this workspace); the
-//! subset is fixed, so a string builder plus the shared JSON escaper is the
-//! whole implementation.
+//! subset is fixed, so a string builder plus the workspace's one JSON
+//! escaper (`soc_telemetry::json`) is the whole implementation.
 
 use crate::allowlist::Allowlist;
 use crate::catalog::CATALOG;
 use crate::checks::Diagnostic;
-use crate::report::{json_string, CheckReport};
+use crate::report::CheckReport;
+use soc_telemetry::json::json_string;
 
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
 const VERSION: &str = "2.1.0";

@@ -23,9 +23,10 @@
 //! * **Memory sampling** ([`mem`]) — peak RSS from procfs and an opt-in
 //!   counting global allocator ([`CountingAlloc`]).
 //! * **Snapshots and diffs** ([`Snapshot`], [`diff`]) — a canonical JSON
-//!   profile format (`BENCH_largescale.json` is one) and a tolerance-based
-//!   comparison that exits nonzero on regression (`soc-prof diff`, the CI
-//!   perf gate).
+//!   profile format (`BENCH_largescale.json` is one), written and read with
+//!   the workspace's one JSON codec (`soc_telemetry::json`), and a
+//!   tolerance-based comparison that exits nonzero on regression
+//!   (`soc-prof diff`, the CI perf gate).
 //!
 //! A disabled handle ([`Profiler::disabled`], also `Default`) is a `None`
 //! internally, mirroring `soc_telemetry::Telemetry`: every call site first
@@ -53,7 +54,6 @@
 #![deny(unsafe_code)]
 
 pub mod diff;
-pub mod json;
 pub mod mem;
 pub mod phase;
 pub mod snapshot;

@@ -8,8 +8,8 @@
 //! snapshots from a different major schema so the perf gate fails loudly
 //! instead of comparing apples to oranges.
 
-use crate::json::{self, Value};
 use crate::phase::PhaseStats;
+use soc_telemetry::json::{self, fmt_num, json_string, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -91,9 +91,9 @@ impl Snapshot {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", self.schema);
-        let _ = writeln!(out, "  \"name\": {},", json::escape(&self.name));
+        let _ = writeln!(out, "  \"name\": {},", json_string(&self.name));
         write_str_map(&mut out, "meta", &self.meta);
-        let _ = writeln!(out, "  \"total_ms\": {},", json::fmt_num(self.total_ms));
+        let _ = writeln!(out, "  \"total_ms\": {},", fmt_num(self.total_ms));
         out.push_str("  \"phases\": {");
         for (i, (path, p)) in self.phases.iter().enumerate() {
             if i > 0 {
@@ -102,11 +102,11 @@ impl Snapshot {
             let _ = write!(
                 out,
                 "\n    {}: {{\"count\": {}, \"total_ms\": {}, \"min_ms\": {}, \"max_ms\": {}}}",
-                json::escape(path),
+                json_string(path),
                 p.count,
-                json::fmt_num(p.total_ms),
-                json::fmt_num(p.min_ms),
-                json::fmt_num(p.max_ms),
+                fmt_num(p.total_ms),
+                fmt_num(p.min_ms),
+                fmt_num(p.max_ms),
             );
         }
         if self.phases.is_empty() {
@@ -119,7 +119,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    {}: {}", json::escape(name), v);
+            let _ = write!(out, "\n    {}: {}", json_string(name), v);
         }
         out.push_str(if self.counters.is_empty() {
             "},\n"
@@ -131,7 +131,7 @@ impl Snapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\n    {}: {}", json::escape(name), json::fmt_num(*v));
+            let _ = write!(out, "\n    {}: {}", json_string(name), fmt_num(*v));
         }
         out.push_str(if self.rates.is_empty() {
             "},\n"
@@ -148,69 +148,61 @@ impl Snapshot {
     /// Parse a snapshot produced by [`Snapshot::to_json`] (or any JSON
     /// document with the same field set).
     pub fn from_json(text: &str) -> Result<Snapshot, String> {
-        let root = json::parse(text)?;
-        let obj = root
-            .as_obj()
-            .ok_or_else(|| "snapshot root must be an object".to_string())?;
-        let schema = get_count(obj, "schema")?;
+        let root = json::parse(text).map_err(|e| e.to_string())?;
+        if !matches!(root, JsonValue::Obj(_)) {
+            return Err("snapshot root must be an object".to_string());
+        }
+        let schema = get_count(&root, "schema")?;
         if schema != SCHEMA {
             return Err(format!(
                 "snapshot schema {schema} is not the supported schema {SCHEMA}; \
                  regenerate the file with this build"
             ));
         }
-        let name = obj
+        let name = root
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or_else(|| "snapshot is missing `name`".to_string())?
             .to_string();
         let mut snap = Snapshot {
             schema,
             name,
-            total_ms: get_num(obj, "total_ms")?,
-            peak_rss_bytes: get_count(obj, "peak_rss_bytes").unwrap_or(0),
-            alloc_count: get_count(obj, "alloc_count").unwrap_or(0),
-            alloc_bytes: get_count(obj, "alloc_bytes").unwrap_or(0),
+            total_ms: get_num(&root, "total_ms")?,
+            peak_rss_bytes: get_count(&root, "peak_rss_bytes").unwrap_or(0),
+            alloc_count: get_count(&root, "alloc_count").unwrap_or(0),
+            alloc_bytes: get_count(&root, "alloc_bytes").unwrap_or(0),
             ..Snapshot::default()
         };
-        if let Some(meta) = obj.get("meta").and_then(Value::as_obj) {
-            for (k, v) in meta {
-                if let Some(s) = v.as_str() {
-                    snap.meta.insert(k.clone(), s.to_string());
-                }
+        for (k, v) in members(&root, "meta") {
+            if let Some(s) = v.as_str() {
+                snap.meta.insert(k.clone(), s.to_string());
             }
         }
-        if let Some(counters) = obj.get("counters").and_then(Value::as_obj) {
-            for (k, v) in counters {
-                let n = v
-                    .as_num()
-                    .ok_or_else(|| format!("counter `{k}` is not a number"))?;
-                snap.counters.insert(k.clone(), as_u64(n));
-            }
+        for (k, v) in members(&root, "counters") {
+            let n = v
+                .as_f64()
+                .ok_or_else(|| format!("counter `{k}` is not a number"))?;
+            snap.counters.insert(k.clone(), as_u64(n));
         }
-        if let Some(rates) = obj.get("rates").and_then(Value::as_obj) {
-            for (k, v) in rates {
-                let n = v
-                    .as_num()
-                    .ok_or_else(|| format!("rate `{k}` is not a number"))?;
-                snap.rates.insert(k.clone(), n);
-            }
+        for (k, v) in members(&root, "rates") {
+            let n = v
+                .as_f64()
+                .ok_or_else(|| format!("rate `{k}` is not a number"))?;
+            snap.rates.insert(k.clone(), n);
         }
-        if let Some(phases) = obj.get("phases").and_then(Value::as_obj) {
-            for (path, v) in phases {
-                let p = v
-                    .as_obj()
-                    .ok_or_else(|| format!("phase `{path}` is not an object"))?;
-                snap.phases.insert(
-                    path.clone(),
-                    PhaseSnap {
-                        count: get_count(p, "count")?,
-                        total_ms: get_num(p, "total_ms")?,
-                        min_ms: get_num(p, "min_ms").unwrap_or(0.0),
-                        max_ms: get_num(p, "max_ms").unwrap_or(0.0),
-                    },
-                );
+        for (path, p) in members(&root, "phases") {
+            if !matches!(p, JsonValue::Obj(_)) {
+                return Err(format!("phase `{path}` is not an object"));
             }
+            snap.phases.insert(
+                path.clone(),
+                PhaseSnap {
+                    count: get_count(p, "count")?,
+                    total_ms: get_num(p, "total_ms")?,
+                    min_ms: get_num(p, "min_ms").unwrap_or(0.0),
+                    max_ms: get_num(p, "max_ms").unwrap_or(0.0),
+                },
+            );
         }
         Ok(snap)
     }
@@ -269,23 +261,31 @@ impl Snapshot {
 }
 
 fn write_str_map(out: &mut String, key: &str, map: &BTreeMap<String, String>) {
-    let _ = write!(out, "  {}: {{", json::escape(key));
+    let _ = write!(out, "  {}: {{", json_string(key));
     for (i, (k, v)) in map.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\n    {}: {}", json::escape(k), json::escape(v));
+        let _ = write!(out, "\n    {}: {}", json_string(k), json_string(v));
     }
     out.push_str(if map.is_empty() { "},\n" } else { "\n  },\n" });
 }
 
-fn get_num(obj: &BTreeMap<String, Value>, key: &str) -> Result<f64, String> {
+/// The members of object `key` in `obj`; none if absent or not an object.
+fn members<'a>(obj: &'a JsonValue, key: &str) -> &'a [(String, JsonValue)] {
+    match obj.get(key) {
+        Some(JsonValue::Obj(members)) => members,
+        _ => &[],
+    }
+}
+
+fn get_num(obj: &JsonValue, key: &str) -> Result<f64, String> {
     obj.get(key)
-        .and_then(Value::as_num)
+        .and_then(JsonValue::as_f64)
         .ok_or_else(|| format!("snapshot is missing numeric `{key}`"))
 }
 
-fn get_count(obj: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
+fn get_count(obj: &JsonValue, key: &str) -> Result<u64, String> {
     get_num(obj, key).map(as_u64)
 }
 
@@ -387,6 +387,22 @@ mod tests {
             .replace("\"schema\": 1", "\"schema\": 99");
         let err = Snapshot::from_json(&text).unwrap_err();
         assert!(err.contains("schema 99"), "unexpected error: {err}");
+    }
+
+    #[test]
+    fn committed_baseline_round_trips_byte_for_byte() {
+        // The CI perf gate reads this file; parsing and re-writing it must
+        // reproduce it exactly.
+        let text = include_str!("../../../BENCH_largescale.json");
+        assert_eq!(Snapshot::from_json(text).unwrap().to_json(), text);
+    }
+
+    #[test]
+    fn deeply_nested_input_is_an_error() {
+        for text in ["[".repeat(1_000_000), "{\"a\":".repeat(100_000)] {
+            let err = Snapshot::from_json(&text).unwrap_err();
+            assert!(err.contains("nested deeper"), "{err}");
+        }
     }
 
     #[test]
