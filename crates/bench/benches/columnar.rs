@@ -1,23 +1,22 @@
-//! Micro-benchmarks of the columnar rack hot path against its row-oriented
-//! equivalents: batched power aggregation over `ServerSeriesView` columns
-//! vs per-server `TimeSeries::value_at`, batched template lookup
-//! (`TemplateSlot` + `predict_at`) vs per-server `predict`, and one full
-//! rack simulation through the columnar engine vs the retained reference
-//! engine (the admission scan dominates both).
+//! Micro-benchmarks of the columnar rack hot path: batched power
+//! aggregation over `ServerSeriesView` columns vs per-server
+//! `TimeSeries::value_at`, batched template lookup (`TemplateSlot` +
+//! `predict_at`) vs per-server `predict`, and one full rack simulation
+//! through the columnar engine (the admission scan dominates it).
 //!
 //! These are the kernels behind the committed `BENCH_largescale.json`
-//! baseline; `tests/equivalence.rs` proves the fast variants byte-identical
-//! to the naive ones, so the deltas measured here are pure speed.
+//! baseline; each fast kernel returns the same values as its naive
+//! counterpart, so the deltas measured here are pure speed.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::policy::PolicyKind;
 use soc_cluster::columns::fill_base_power;
-use soc_cluster::largescale::{
-    simulate_rack_reference, simulate_rack_trained_probed, train_rack, LargeScaleConfig,
+use soc_cluster::largescale::LargeScaleConfig;
+use soc_cluster::shard::{
+    generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
 };
-use soc_cluster::shard::generate_fleet;
 use soc_cluster::NoopProbe;
 use soc_predict::template::{PowerTemplate, TemplateKind, TemplateSlot};
 use soc_telemetry::Telemetry;
@@ -94,7 +93,7 @@ fn bench_template_lookup(c: &mut Criterion) {
     });
     c.bench_function("template_lookup_naive_16", |b| {
         b.iter(|| {
-            // The reference engine re-derives day/week slots per server.
+            // Per-call prediction re-derives day/week slots per server.
             let mut sum = 0.0;
             for tpl in &templates {
                 sum += tpl.predict(black_box(t));
@@ -105,37 +104,24 @@ fn bench_template_lookup(c: &mut Criterion) {
 }
 
 fn bench_rack_simulation(c: &mut Criterion) {
-    // One small rack end to end: the admission scan + aggregation dominate,
-    // so this is the engine-level number behind the baseline's `speedup`.
+    // One small rack end to end on one thread: the admission scan and
+    // aggregation dominate.
     let mut cfg = LargeScaleConfig::small_test();
     cfg.racks = 1;
-    let fleet = generate_fleet(&cfg, 1);
-    let (rack, model) = fleet.iter().next().expect("one rack");
-    let trained = train_rack(&cfg, rack, model);
+    let fleet = generate_fleet_probed(&cfg, 1, &NoopProbe);
+    let trained = train_fleet_probed(&cfg, &fleet, 1, &NoopProbe);
     let telemetry = Telemetry::disabled();
 
     c.bench_function("rack_sim_columnar", |b| {
         b.iter(|| {
-            black_box(simulate_rack_trained_probed(
+            black_box(simulate_policy_prepared_probed(
                 &cfg,
                 PolicyKind::SmartOClock,
-                rack,
-                model,
+                &fleet,
                 &trained,
                 &telemetry,
+                1,
                 &NoopProbe,
-            ))
-        })
-    });
-    c.bench_function("rack_sim_reference", |b| {
-        b.iter(|| {
-            black_box(simulate_rack_reference(
-                &cfg,
-                PolicyKind::SmartOClock,
-                rack,
-                model,
-                &trained,
-                &telemetry,
             ))
         })
     });

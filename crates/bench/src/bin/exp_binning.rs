@@ -27,7 +27,9 @@ use smartoclock::policy::PolicyKind;
 use soc_bench::Cli;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::shard::{generate_fleet, simulate_policy_on_traces_probed, FleetTraces};
+use soc_cluster::shard::{
+    generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed, FleetTraces,
+};
 use soc_cluster::NoopProbe;
 use soc_reliability::binning::BinningConfig;
 use std::path::PathBuf;
@@ -48,10 +50,13 @@ fn main() {
     let telemetry = cli.telemetry();
     let threads = cli.effective_threads();
 
-    // Traces depend only on the fleet shape and seed — never on the silicon
-    // draw — so generate them once and share them across every cell.
+    // Traces depend only on the fleet shape and seed, and templates only on
+    // the traces and the fault plan's prediction bias — never on the
+    // silicon draw — so generate and train once and share them across
+    // every cell.
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet(&base, threads);
+    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
+    let trained = train_fleet_probed(&base, &fleet, threads, &NoopProbe);
 
     let mut t = Table::new(&[
         "bins",
@@ -80,10 +85,11 @@ fn main() {
                 "simulating bins={bins} risk_budget={risk_budget} over {racks} racks \
                  ({threads} threads)..."
             );
-            let outcomes = simulate_policy_on_traces_probed(
+            let outcomes = simulate_policy_prepared_probed(
                 &config,
                 PolicyKind::SmartOClock,
                 &fleet,
+                &trained,
                 &telemetry,
                 threads,
                 &NoopProbe,

@@ -26,7 +26,9 @@ use soc_bench::probe::HealthProbe;
 use soc_bench::Cli;
 use soc_cluster::largescale::LargeScaleConfig;
 use soc_cluster::largescale_metrics::PolicyMetrics;
-use soc_cluster::shard::{generate_fleet, simulate_policy_on_traces_probed};
+use soc_cluster::shard::{
+    generate_fleet_probed, simulate_policy_prepared_probed, train_fleet_probed,
+};
 use soc_cluster::NoopProbe;
 use soc_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -80,12 +82,12 @@ fn main() {
 
     // Traces depend only on the fleet shape and seed — not on the fault
     // plan or fail-open mode — so generate them once and share them across
-    // every scenario × variant cell. Templates are trained per run inside
-    // `simulate_policy_on_traces_probed` because the fault layer can bias
-    // predictions (not varied here, but per-run training keeps the cells
-    // independent of each other by construction).
+    // every scenario × variant cell. Templates are trained once per fault
+    // plan, because the fault layer can bias predictions (not varied here,
+    // but training per plan keeps the scenarios independent of each other
+    // by construction).
     eprintln!("generating {racks} rack traces once ({threads} threads)...");
-    let fleet = generate_fleet(&base, threads);
+    let fleet = generate_fleet_probed(&base, threads, &NoopProbe);
 
     let mut t = Table::new(&[
         "outage",
@@ -100,12 +102,14 @@ fn main() {
     // Per-variant granted count at zero outage, anchoring uptime-retained.
     let mut granted_at_zero = [0u64; VARIANTS.len()];
     for (label, len) in &outages {
+        let mut plan = base.clone();
+        plan.faults.seed = cli.seed;
+        plan.faults.goa_outages = if len.is_zero() { 0 } else { 2 };
+        plan.faults.goa_outage_len = *len;
+        let trained = train_fleet_probed(&plan, &fleet, threads, &NoopProbe);
         for (v, variant) in VARIANTS.iter().enumerate() {
-            let mut config = base.clone();
+            let mut config = plan.clone();
             config.central_fail_open = variant.fail_open;
-            config.faults.seed = cli.seed;
-            config.faults.goa_outages = if len.is_zero() { 0 } else { 2 };
-            config.faults.goa_outage_len = *len;
             eprintln!(
                 "simulating {} at outage={label} over {racks} racks ({threads} threads)...",
                 variant.name
@@ -116,10 +120,11 @@ fn main() {
             let outcomes = if health_cell {
                 let probe = HealthProbe::new(recorder.clone());
                 if telemetry.is_enabled() {
-                    simulate_policy_on_traces_probed(
+                    simulate_policy_prepared_probed(
                         &config,
                         variant.policy,
                         &fleet,
+                        &trained,
                         &telemetry,
                         threads,
                         &probe,
@@ -130,20 +135,22 @@ fn main() {
                     // sink. Telemetry is pure observation, so outcomes and
                     // stdout are unchanged.
                     let (tm, _sink) = Telemetry::memory();
-                    simulate_policy_on_traces_probed(
+                    simulate_policy_prepared_probed(
                         &config,
                         variant.policy,
                         &fleet,
+                        &trained,
                         &tm,
                         threads,
                         &probe,
                     )
                 }
             } else {
-                simulate_policy_on_traces_probed(
+                simulate_policy_prepared_probed(
                     &config,
                     variant.policy,
                     &fleet,
+                    &trained,
                     &telemetry,
                     threads,
                     &NoopProbe,

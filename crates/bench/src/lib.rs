@@ -192,7 +192,7 @@ impl Cli {
     /// Value of a binary-specific `--flag value` pair from the raw argument
     /// list, or `None` when the flag is absent (or has no value). The shared
     /// parser ignores flags it does not know, so binaries use this to layer
-    /// their own options (e.g. `par_speedup`'s `--reps` / `--min-speedup`)
+    /// their own options (e.g. `par_speedup`'s `--reps` / `--out`)
     /// without re-parsing `std::env::args` themselves.
     pub fn extra_flag(&self, name: &str) -> Option<&str> {
         let mut iter = self.raw.iter();
@@ -458,9 +458,9 @@ mod tests {
 
     #[test]
     fn extra_flag_reads_binary_specific_options() {
-        let cli = parse(&["--fast", "--reps", "5", "--min-speedup", "1.2"]);
+        let cli = parse(&["--fast", "--reps", "5", "--out", "cur.json"]);
         assert_eq!(cli.extra_flag("--reps"), Some("5"));
-        assert_eq!(cli.extra_flag("--min-speedup"), Some("1.2"));
+        assert_eq!(cli.extra_flag("--out"), Some("cur.json"));
         assert_eq!(cli.extra_flag("--absent"), None);
         // A trailing flag with no value yields None, not a panic.
         assert_eq!(parse(&["--reps"]).extra_flag("--reps"), None);

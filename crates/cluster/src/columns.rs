@@ -1,34 +1,34 @@
-//! Columnar (struct-of-arrays) rack simulation engine.
+//! Columnar (struct-of-arrays) rack simulation engine: the one per-rack
+//! engine behind every large-scale entry point in [`crate::shard`].
 //!
-//! The production hot path behind [`crate::largescale::simulate_rack_probed`].
-//! Where the retained reference engine
-//! ([`crate::largescale::simulate_rack_reference`]) keeps a `Vec<ServerState>`
-//! of structs and calls `PowerTemplate::predict` / `TimeSeries::value_at` per
-//! server per step, this engine keeps every mutable field as its own column
-//! ([`ServerColumns`]), hoists the per-step sample index and template slot
-//! out of the inner server loop, and reuses one set of per-step scratch
-//! buffers ([`StepBuffers`]) for the whole run — so power aggregation is a
-//! linear scan over a `f64` column and steady-state allocation count does not
-//! scale with simulated steps.
+//! Every mutable per-server field is its own column ([`ServerColumns`]);
+//! the per-step sample index is hoisted out of the inner server loop;
+//! template predictions and gOA budget rows are memoized per weekly slot
+//! (`SlotTables`); and one set of per-step scratch buffers
+//! ([`StepBuffers`]) is reused for the whole run — so power aggregation is a
+//! linear scan over a `f64` column and steady-state allocation count does
+//! not scale with simulated steps.
 //!
 //! **Byte-determinism contract.** Output (outcomes, telemetry events,
-//! metrics, decision ids) must be byte-identical to the reference engine.
-//! Three rules keep the transformation safe:
+//! metrics, decision ids) must stay byte-identical to the committed digest
+//! matrix (`tests/fixtures/engine_digests.txt`), which was recorded while
+//! this engine and the row-oriented engine it replaced agreed on every
+//! cell. Three rules keep changes to the engine safe:
 //!
 //! 1. every floating-point operation whose result reaches an output happens
 //!    in the same order on the same values (accumulators fold left-to-right
-//!    over servers in rack order, exactly as the reference's `+=` loops);
+//!    over servers in rack order);
 //! 2. only *pure* computations are cached or batched (`TimeSeries::index_at`
-//!    replaces repeated `value_at` divisions; `TemplateSlot` replaces
-//!    repeated `SimTime` decompositions — both provably return the values
-//!    the per-call forms would);
+//!    replaces repeated `value_at` divisions; the slot tables replay
+//!    `predict_at` results — both provably return the values the per-call
+//!    forms would);
 //! 3. computations whose results reach no output may be skipped (the central
 //!    oracle's running rack total is not computed for decentralized
 //!    policies), and allocations never affect results.
 //!
-//! `tests/equivalence.rs` pins the contract across seeds × thread counts ×
-//! fault plans, and `par_speedup` re-asserts outcome agreement on every
-//! benchmark run.
+//! `tests/equivalence.rs` checks every digest at 1, 2 and 4 threads across
+//! seeds, policies, fault plans and binned fleets, and `par_speedup`
+//! re-asserts outcome agreement between its legs on every run.
 
 use crate::largescale::{
     emit_binning_events, resolve_rack_silicon, LargeScaleConfig, TrainedRack, TrainedServer,
@@ -175,19 +175,12 @@ pub fn fill_base_power(views: &[ServerSeriesView<'_>], idx: usize, out: &mut Vec
     total
 }
 
-/// Batched template prediction for one step: fills `out` with every server's
-/// regular-power prediction at the precomputed slot.
-pub fn fill_predictions(servers: &[TrainedServer], slot: TemplateSlot, out: &mut Vec<f64>) {
-    out.clear();
-    out.extend(servers.iter().map(|s| s.template.predict_at(slot)));
-}
-
 /// Memoized per-slot template predictions and gOA budget rows for one rack
 /// run.
 ///
 /// Every field of [`TemplateSlot`] (`time_of_day`, `time_of_week`,
-/// `weekday`) is periodic in `t` with period one week, so when the step
-/// divides a week evenly the tick at step `k` and the tick at step
+/// `weekday`) is periodic in `t` with period one week, and the step divides
+/// a week evenly, so the tick at step `k` and the tick at step
 /// `k + slots_per_week` land on the *same* slot and therefore the same
 /// prediction. The tables evaluate `predict_at` once per (weekly slot ×
 /// server) up front and replay the identical `f64`s on every later week —
@@ -212,36 +205,33 @@ struct SlotTables {
 
 impl SlotTables {
     /// Build the prediction tables for one rack's evaluation ticks starting
-    /// at `start`, or `None` when the step does not divide a week evenly
-    /// (ticks then drift across week boundaries and slots stop repeating,
-    /// so callers must fall back to per-step prediction).
-    fn build(servers: &[TrainedServer], start: SimTime, step: SimDuration) -> Option<SlotTables> {
+    /// at `start`. Every large-scale entry point validates that the step
+    /// divides a day, and so the week, before it reaches the engine.
+    fn build(servers: &[TrainedServer], start: SimTime, step: SimDuration) -> SlotTables {
         let week = SimDuration::WEEK.as_micros();
         let step_us = step.as_micros();
-        if step_us == 0 || !week.is_multiple_of(step_us) {
-            return None;
-        }
+        debug_assert!(step_us > 0 && week.is_multiple_of(step_us));
         let slots = (week / step_us) as usize;
         let n = servers.len();
         let mut regular = Vec::with_capacity(slots * n);
         let mut demand = Vec::with_capacity(slots * n);
         let mut t = start;
         for _ in 0..slots {
-            // The exact pure calls the per-step path would make at this tick
-            // (and at this tick plus any whole number of weeks).
+            // The exact pure calls a per-step prediction would make at this
+            // tick (and at this tick plus any whole number of weeks).
             let slot = TemplateSlot::at(t, step);
             regular.extend(servers.iter().map(|s| s.template.predict_at(slot)));
             demand.extend(servers.iter().map(|s| s.demand_template.predict_at(slot)));
             t += step;
         }
-        Some(SlotTables {
+        SlotTables {
             slots,
             n,
             regular,
             demand,
             budgets: vec![Watts::ZERO; slots * n],
             budgets_ready: vec![false; slots],
-        })
+        }
     }
 
     /// Weekly slot index of evaluation step `k` (steps since the first
@@ -286,9 +276,14 @@ impl SlotTables {
     }
 }
 
-/// Columnar counterpart of
-/// [`crate::largescale::simulate_rack_reference`]; see the module docs for
-/// the byte-determinism contract.
+/// Simulate one rack under one policy over pre-trained templates; see the
+/// module docs for the byte-determinism contract.
+///
+/// The probe sees two flat spans per step — `"rack/admission"` (per-server
+/// admission checks) and `"rack/aggregation"` (power aggregation, capping
+/// enforcement, and exploration bookkeeping) — `rack_limit_w` /
+/// `rack_draw_w` gauges, and a `sim_steps` counter on completion. Hooks are
+/// observation-only: simulation state never reads anything back.
 pub(crate) fn simulate_rack_columnar(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -351,14 +346,8 @@ pub(crate) fn simulate_rack_columnar(
         };
     let mut cols = ServerColumns::new(n, weekly_allowance);
     let mut buf = StepBuffers::with_capacity(n);
-    // Weekly-periodic prediction/budget memo (None for steps that don't
-    // divide a week; every shipped config divides, so the per-step fallback
-    // is reachable only through the `disable_slot_memo` kill switch).
-    let mut tables = if config.disable_slot_memo {
-        None
-    } else {
-        SlotTables::build(&trained.servers, train_end, config.step)
-    };
+    // Weekly-periodic prediction/budget memo.
+    let mut tables = SlotTables::build(&trained.servers, train_end, config.step);
     // Borrowed raw-sample slices, hoisted once per rack: all per-server
     // series share the trace's start (time zero) and step, so one slot index
     // per step addresses every column.
@@ -419,10 +408,9 @@ pub(crate) fn simulate_rack_columnar(
         // Delayed budget updates (fault injection) mature first: a message
         // sent during an earlier step finally lands.
         cols.mature_pending(t);
-        // Sample slot and template slot for this instant, computed once and
-        // shared by every per-server read below (the batched-lookup hoist).
+        // Sample slot for this instant, computed once and shared by every
+        // per-server read below (the batched-lookup hoist).
         let idx = rack.power.index_at(t).unwrap_or(usize::MAX);
-        let slot = TemplateSlot::at(t, config.step);
         // gOA budget computation at this instant (heterogeneous or even).
         // While the fault plan marks the gOA unreachable no recomputation
         // happens: every server keeps enforcing its last-received budget —
@@ -450,39 +438,23 @@ pub(crate) fn simulate_rack_columnar(
         if goa_down {
             outcome.stale_budget_steps += 1;
         } else {
-            match &mut tables {
-                // Memoized path: the first visit to a weekly slot computes
-                // the budget row from the prediction tables (identical
-                // floats to the direct path); later weeks replay it.
-                Some(tb) => {
-                    let w = tb.slot_of_step(outcome.steps);
-                    if tb.budgets_ready(w) {
-                        buf.budgets.clear();
-                        buf.budgets.extend_from_slice(tb.budgets_row(w));
-                    } else {
-                        buf.demands.clear();
-                        buf.demands
-                            .extend(tb.regular_row(w).iter().zip(tb.demand_row(w)).map(
-                                |(&r, &d)| DemandProfile {
-                                    regular: Watts::new(r.max(0.0)),
-                                    overclock_demand: Watts::new(d.max(0.0)),
-                                },
-                            ));
-                        goa.budgets_for_into(&buf.demands, &mut buf.budgets);
-                        tb.store_budgets(w, &buf.budgets);
-                    }
-                }
-                None => {
-                    buf.demands.clear();
-                    buf.demands
-                        .extend(trained.servers.iter().map(|s| DemandProfile {
-                            regular: Watts::new(s.template.predict_at(slot).max(0.0)),
-                            overclock_demand: Watts::new(
-                                s.demand_template.predict_at(slot).max(0.0),
-                            ),
-                        }));
-                    goa.budgets_for_into(&buf.demands, &mut buf.budgets);
-                }
+            // The first visit to a weekly slot computes the budget row from
+            // the prediction tables; later weeks replay it.
+            let w = tables.slot_of_step(outcome.steps);
+            if tables.budgets_ready(w) {
+                buf.budgets.clear();
+                buf.budgets.extend_from_slice(tables.budgets_row(w));
+            } else {
+                buf.demands.clear();
+                buf.demands
+                    .extend(tables.regular_row(w).iter().zip(tables.demand_row(w)).map(
+                        |(&r, &d)| DemandProfile {
+                            regular: Watts::new(r.max(0.0)),
+                            overclock_demand: Watts::new(d.max(0.0)),
+                        },
+                    ));
+                goa.budgets_for_into(&buf.demands, &mut buf.budgets);
+                tables.store_budgets(w, &buf.budgets);
             }
             epochs.mark_refresh(t);
             for (i, ((budget, pending), b)) in cols
@@ -539,20 +511,14 @@ pub(crate) fn simulate_rack_columnar(
 
         // --- Admission per server. ---
         let admission_span = probe.span("rack/admission");
-        // Batched column fills replace the reference engine's per-server
-        // `value_at`/`predict` calls; values and fold order are identical.
+        // Batched column fills: the values and fold order of per-server
+        // `value_at`/`predict` calls, from one index and one table row.
         let base_total = fill_base_power(&views, idx, &mut buf.base_w);
         if decentral_check {
-            match &tables {
-                Some(tb) => {
-                    // Memoized copy of exactly what fill_predictions would
-                    // compute at this slot (raw predict_at, no clamping).
-                    buf.predicted.clear();
-                    buf.predicted
-                        .extend_from_slice(tb.regular_row(tb.slot_of_step(outcome.steps)));
-                }
-                None => fill_predictions(&trained.servers, slot, &mut buf.predicted),
-            }
+            // Raw `predict_at` at this step's weekly slot (no clamping).
+            buf.predicted.clear();
+            buf.predicted
+                .extend_from_slice(tables.regular_row(tables.slot_of_step(outcome.steps)));
         } else {
             // Placeholder column so the admission zip below stays in
             // lockstep; never read on this policy's admit path.
@@ -560,8 +526,8 @@ pub(crate) fn simulate_rack_columnar(
             buf.predicted.resize(n, 0.0);
         }
         // The central oracle's running rack total; decentralized policies
-        // never read it, so the reference engine's unconditional pre-sum is
-        // skipped for them (rule 3 of the module contract).
+        // never read it, so it is not computed for them (rule 3 of the
+        // module contract).
         let mut central_total = if central { base_total } else { Watts::ZERO };
         buf.extras.clear();
         buf.extras.resize(n, Watts::ZERO);
@@ -684,8 +650,7 @@ pub(crate) fn simulate_rack_columnar(
             // controller untangles who to throttle: every server suffers a
             // frequency penalty proportional to the overshoot (this is the
             // paper's "Penalty on Power Cap" on non-overclocked VMs).
-            // Linear scan over the already-read base-power column — the
-            // reference engine re-walks every server's TimeSeries here.
+            // Linear scan over the already-read base-power column.
             let dynamic: Watts = buf
                 .base_w
                 .iter()
@@ -705,7 +670,7 @@ pub(crate) fn simulate_rack_columnar(
             }
             // Enforcement then revokes overclock extras, largest first.
             // Stable sort on (index, extra) pairs: ties keep ascending
-            // server order, exactly like the reference's index sort.
+            // server order.
             buf.order.clear();
             buf.order.extend(
                 buf.granted
@@ -816,8 +781,8 @@ pub(crate) fn simulate_rack_columnar(
             }
         }
         // Per-part wear accounting (heterogeneous fleets only): each server
-        // granted this step ages at its hoisted part-scaled rate. Folded
-        // left-to-right in server order, exactly like the reference engine.
+        // granted this step ages at its hoisted part-scaled rate, folded
+        // left-to-right in server order.
         if let Some(s) = &silicon {
             for ((grant, view), rate) in buf.granted.iter().zip(views.iter()).zip(s.wear.iter()) {
                 if *grant {
@@ -872,141 +837,6 @@ pub(crate) fn simulate_rack_columnar(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::largescale::{simulate_rack_reference, train_rack};
-    use soc_telemetry::json::event_to_json;
-    use soc_traces::gen::TraceGenerator;
-
-    fn engines_agree(config: &LargeScaleConfig, policy: PolicyKind) {
-        let generator = TraceGenerator::new(config.seed);
-        let fc = config.fleet_config();
-        for r in 0..config.racks.min(2) {
-            let rack = generator.generate_rack(&fc, r);
-            let model = generator.model_for(rack.generation);
-            let trained = train_rack(config, &rack, &model);
-            let (tm_a, sink_a) = Telemetry::memory();
-            let a = simulate_rack_columnar(
-                config,
-                policy,
-                &rack,
-                &model,
-                &trained,
-                &tm_a,
-                &crate::probe::NoopProbe,
-            );
-            let (tm_b, sink_b) = Telemetry::memory();
-            let b = simulate_rack_reference(config, policy, &rack, &model, &trained, &tm_b);
-            assert_eq!(a, b, "outcome diverged: rack {r} policy {policy}");
-            let render = |events: Vec<soc_telemetry::Event>| -> String {
-                events.iter().map(event_to_json).collect()
-            };
-            assert_eq!(
-                render(sink_a.events()),
-                render(sink_b.events()),
-                "event stream diverged: rack {r} policy {policy}"
-            );
-            assert_eq!(
-                tm_a.metrics_snapshot().render(),
-                tm_b.metrics_snapshot().render(),
-                "metrics diverged: rack {r} policy {policy}"
-            );
-        }
-    }
-
-    #[test]
-    fn columnar_matches_reference_all_policies() {
-        let config = LargeScaleConfig::small_test();
-        for policy in PolicyKind::ALL {
-            engines_agree(&config, policy);
-        }
-    }
-
-    #[test]
-    fn columnar_matches_reference_under_faults() {
-        let mut config = LargeScaleConfig::small_test();
-        config.faults.goa_outages = 1;
-        config.faults.goa_outage_len = SimDuration::from_hours(12);
-        config.faults.budget_drop_prob = 0.05;
-        config.faults.budget_delay_prob = 0.1;
-        config.faults.budget_delay = SimDuration::from_minutes(30);
-        config.faults.telemetry_gap_prob = 0.02;
-        config.faults.soa_restart_prob = 0.01;
-        config.faults.prediction_bias = 1.05;
-        for policy in [PolicyKind::SmartOClock, PolicyKind::Central] {
-            engines_agree(&config, policy);
-        }
-    }
-
-    #[test]
-    fn columnar_matches_reference_with_binned_silicon() {
-        let mut config = LargeScaleConfig::small_test();
-        config.binning.bins = 8;
-        config.binning.risk_budget = 0.35;
-        config.binning.wear_spread = 0.4;
-        config.binning.seed = 7;
-        for policy in PolicyKind::ALL {
-            engines_agree(&config, policy);
-        }
-    }
-
-    #[test]
-    fn columnar_matches_reference_with_binning_and_faults() {
-        let mut config = LargeScaleConfig::small_test();
-        config.binning.bins = 4;
-        config.binning.risk_budget = 0.5;
-        config.binning.wear_spread = 0.2;
-        config.binning.seed = 11;
-        config.faults.goa_outages = 1;
-        config.faults.goa_outage_len = SimDuration::from_hours(12);
-        config.faults.budget_drop_prob = 0.05;
-        config.faults.telemetry_gap_prob = 0.02;
-        config.faults.soa_restart_prob = 0.01;
-        for policy in [PolicyKind::SmartOClock, PolicyKind::Central] {
-            engines_agree(&config, policy);
-        }
-    }
-
-    #[test]
-    fn columnar_matches_reference_on_fallback_prediction_path() {
-        // The slot-memo kill switch forces the per-step prediction arms the
-        // engine would use for a step that did not divide the week — with
-        // and without heterogeneous silicon.
-        let mut config = LargeScaleConfig::small_test();
-        config.disable_slot_memo = true;
-        engines_agree(&config, PolicyKind::SmartOClock);
-        config.binning.bins = 8;
-        config.binning.risk_budget = 0.3;
-        config.binning.wear_spread = 0.4;
-        config.binning.seed = 42;
-        engines_agree(&config, PolicyKind::SmartOClock);
-    }
-
-    #[test]
-    fn slot_tables_require_a_week_divisor_step() {
-        // A non-divisor step cannot come out of the public pipeline
-        // (template training asserts the step divides a day, and every
-        // day-divisor divides the week), so the guard is pinned directly.
-        let config = LargeScaleConfig::small_test();
-        let generator = TraceGenerator::new(config.seed);
-        let rack = generator.generate_rack(&config.fleet_config(), 0);
-        let model = generator.model_for(rack.generation);
-        let trained = train_rack(&config, &rack, &model);
-        let start = SimTime::ZERO + SimDuration::WEEK;
-        assert!(
-            SlotTables::build(&trained.servers, start, SimDuration::from_hours(5)).is_none(),
-            "5h does not divide the week; the memo must refuse to build"
-        );
-        assert!(
-            SlotTables::build(&trained.servers, start, SimDuration::ZERO).is_none(),
-            "a zero step must refuse to build, not divide by zero"
-        );
-        // The Some case must use the training step itself (predict_at
-        // debug-asserts slot/template step agreement).
-        let tables = SlotTables::build(&trained.servers, start, config.step)
-            .expect("the 15-minute training step divides the week");
-        let slots = (SimDuration::WEEK.as_micros() / config.step.as_micros()) as usize;
-        assert_eq!(tables.slots, slots);
-        assert_eq!(tables.n, rack.servers.len());
-    }
 
     #[test]
     fn server_columns_api() {

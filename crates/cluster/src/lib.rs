@@ -18,17 +18,22 @@
 //!   hundreds of racks replaying synthetic production traces under the five
 //!   policies of Table I, counting power-capping events, overclocking
 //!   success rates, capping penalties, and normalized performance.
-//! * [`columns`] — the columnar (struct-of-arrays) production engine behind
-//!   [`largescale`]'s per-rack hot path: per-server control state as
-//!   parallel columns, batched template/sample lookups hoisted out of the
-//!   inner loop, reused per-step buffers, byte-identical to the retained
-//!   row-oriented reference engine.
-//! * [`shard`] — rack-sharded parallel execution of the large-scale sim:
-//!   racks dealt across a `simcore::par` worker pool with per-shard RNG
-//!   streams and buffered telemetry, merged in canonical rack order so
-//!   `--threads N` runs are byte-identical to `--threads 1`; plus
-//!   fleet-trace pre-generation ([`shard::generate_fleet`]) so multi-policy
-//!   drivers generate each rack's trace exactly once per run.
+//! * [`columns`] — the large-scale per-rack engine: per-server control
+//!   state as parallel columns, batched template/sample lookups hoisted out
+//!   of the inner loop, weekly slot tables, reused per-step buffers. Its
+//!   output is byte-identical to the committed digest matrix
+//!   (`tests/fixtures/engine_digests.txt`).
+//! * [`shard`] — the large-scale entry points: racks dealt across a
+//!   `simcore::par` worker pool with per-shard RNG streams and buffered
+//!   telemetry, merged in canonical rack order so `--threads N` runs are
+//!   byte-identical to `--threads 1`. There are three:
+//!   [`shard::simulate_policy_sharded_probed`] streams (generate, train and
+//!   simulate each rack inside its worker, memory bounded by the worker
+//!   count); [`shard::simulate_policy_prepared_probed`] simulates over a
+//!   fleet generated once by [`shard::generate_fleet_probed`] and trained
+//!   once by [`shard::train_fleet_probed`], for multi-policy drivers; and
+//!   [`shard::run_cluster_sims_probed`] runs closed-loop [`harness`]
+//!   simulations side by side.
 //! * [`probe`] — pure observation hooks ([`probe::ShardProbe`]) that let
 //!   bench binaries attach wall-clock phase timing to the sharded engine
 //!   without this crate ever reading a clock (soc-lint D002).
@@ -52,11 +57,9 @@ pub mod shard;
 
 pub use envs::{run_environment, Environment, ServiceRunResult};
 pub use harness::{ClusterConfig, ClusterResult, ClusterSim, SystemKind};
-pub use largescale::{simulate_policy, LargeScaleConfig, PolicyMetrics};
+pub use largescale::{LargeScaleConfig, PolicyMetrics};
 pub use probe::{NoopProbe, ShardProbe};
 pub use shard::{
-    generate_fleet, generate_fleet_probed, run_cluster_sims, run_cluster_sims_probed,
-    simulate_policy_on_traces_probed, simulate_policy_prepared_probed,
-    simulate_policy_prepared_reference, simulate_policy_sharded, simulate_policy_sharded_probed,
-    train_fleet_probed, FleetTraces, TrainedFleet,
+    generate_fleet_probed, run_cluster_sims_probed, simulate_policy_prepared_probed,
+    simulate_policy_sharded_probed, train_fleet_probed, FleetTraces, TrainedFleet,
 };

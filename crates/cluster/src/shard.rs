@@ -22,14 +22,13 @@
 //!    in the order a serial run would emit them, counters add, and
 //!    histograms merge bucket-wise.
 
+use crate::columns::simulate_rack_columnar;
 use crate::harness::{ClusterConfig, ClusterResult, ClusterSim};
-use crate::largescale::{
-    simulate_rack_probed, simulate_rack_reference, simulate_rack_trained_probed, train_rack,
-    LargeScaleConfig, TrainedRack,
-};
+use crate::largescale::{train_rack, LargeScaleConfig, TrainedRack};
 use crate::largescale_metrics::RackOutcome;
-use crate::probe::{NoopProbe, ShardProbe};
+use crate::probe::ShardProbe;
 use simcore::par;
+use simcore::time::SimDuration;
 use smartoclock::policy::PolicyKind;
 use soc_power::model::PowerModel;
 use soc_telemetry::{MetricsSnapshot, Telemetry};
@@ -50,7 +49,9 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
     (run_id << RUN_SHIFT) | ((shard as u64 + 1) << SHARD_SHIFT)
 }
 
-/// [`crate::largescale::simulate_policy_traced`] across `threads` workers.
+/// Simulate one policy over a freshly generated fleet across `threads`
+/// workers; returns per-rack outcomes in rack order (aggregate into Table I
+/// rows with [`crate::largescale::PolicyMetrics::aggregate`]).
 ///
 /// Racks are dealt round-robin over the worker pool; every rack simulates
 /// against its own generated trace and buffered telemetry, and outcomes,
@@ -58,28 +59,20 @@ pub fn shard_id_base(run_id: u64, shard: usize) -> u64 {
 /// value, event stream, and metrics registry contents — is byte-identical
 /// for every `threads` value (`0` means [`par::available_parallelism`]).
 ///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn simulate_policy_sharded(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> Vec<RackOutcome> {
-    simulate_policy_sharded_probed(config, policy, telemetry, threads, &NoopProbe)
-}
-
-/// [`simulate_policy_sharded`] with performance observation hooks.
-///
-/// The probe sees flat spans — `"shard/trace_gen"` and `"shard/sim"` per
-/// rack on the worker side, one `"merge"` span around the canonical-order
-/// absorb — plus `racks` / `merged_events` / `sim_steps` counters. Probing
-/// is strictly one-way: nothing the probe returns reaches simulation state,
-/// so a probed run emits byte-identical traces, metrics, and outcomes to a
-/// [`NoopProbe`] run at every thread count (pinned by `tests/prof.rs`).
+/// Each rack emits `rack_sim_start` / `rack_sim_end` events plus per-step
+/// `rack_capping` warnings, and per-policy request/grant/capping counters.
+/// The probe sees flat spans — `"shard/trace_gen"`, `"shard/sim"` and
+/// `"rack/setup"` per rack and `"rack/admission"` / `"rack/aggregation"`
+/// per step on the worker side, one `"merge"` span around the
+/// canonical-order absorb — plus `racks` / `merged_events` / `sim_steps`
+/// counters. Probing is strictly one-way: nothing the probe returns reaches
+/// simulation state, so a probed run emits byte-identical traces, metrics,
+/// and outcomes to a [`crate::probe::NoopProbe`] run at every thread count
+/// (pinned by `tests/prof.rs`).
 ///
 /// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
+/// Panics if `config.weeks < 2`, `config.racks == 0`, or `config.step` is
+/// zero or does not divide a day evenly.
 pub fn simulate_policy_sharded_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -93,8 +86,9 @@ pub fn simulate_policy_sharded_probed(
     // The streaming path: each worker generates, trains, and simulates its
     // rack and drops the trace immediately — memory stays bounded by the
     // worker count, not the fleet size (the 100k-rack smoke test rides on
-    // this). Multi-policy drivers amortize generation with
-    // [`generate_fleet`] + [`simulate_policy_prepared`] instead.
+    // this). Multi-policy drivers amortize generation and training with
+    // [`generate_fleet_probed`] + [`train_fleet_probed`] +
+    // [`simulate_policy_prepared_probed`] instead.
     drive_sharded(
         threads,
         (0..config.racks).collect(),
@@ -106,25 +100,36 @@ pub fn simulate_policy_sharded_probed(
             let model = generator.model_for(rack.generation);
             drop(gen_span);
             let sim_span = probe.span("shard/sim");
-            let outcome = simulate_rack_probed(config, policy, &rack, &model, local, probe);
+            let setup_span = probe.span("rack/setup");
+            let trained = train_rack(config, &rack, &model);
+            drop(setup_span);
+            let outcome =
+                simulate_rack_columnar(config, policy, &rack, &model, &trained, local, probe);
             drop(sim_span);
             outcome
         },
     )
 }
 
-/// Weeks/racks/binning validation shared by every large-scale entry point.
+/// Weeks/racks/step/binning validation shared by every large-scale entry
+/// point, run before any trace is generated. A step that divides a day also
+/// divides the week, which the engine's weekly slot tables rely on.
 fn validate(config: &LargeScaleConfig) {
     assert!(
         config.weeks >= 2,
         "need at least one training and one evaluation week"
     );
     assert!(config.racks > 0, "need at least one rack");
+    let step = config.step.as_micros();
+    assert!(
+        step > 0 && SimDuration::DAY.as_micros().is_multiple_of(step),
+        "step must divide a day evenly"
+    );
     config.binning.validate();
 }
 
 /// The deterministic fan-out/merge skeleton shared by every sharded
-/// large-scale path (streaming, pre-generated, reference): allocates the run
+/// large-scale path (streaming and pre-generated): allocates the run
 /// id serially before the fan-out, gives each rack a buffered telemetry
 /// handle with a deterministic id base, and replays shard buffers in
 /// canonical rack order — so the output byte-stream is a pure function of
@@ -217,19 +222,12 @@ impl TrainedFleet {
 
 /// Generate every rack's trace exactly once, dealt across `threads` workers
 /// (each rack's trace derives from an independent seeded stream, so
-/// generation order is irrelevant to the bytes produced).
+/// generation order is irrelevant to the bytes produced). The probe sees a
+/// `"shard/trace_gen"` span per rack.
 ///
 /// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
-pub fn generate_fleet(config: &LargeScaleConfig, threads: usize) -> FleetTraces {
-    generate_fleet_probed(config, threads, &NoopProbe)
-}
-
-/// [`generate_fleet`] with performance observation hooks
-/// (`"shard/trace_gen"` per rack).
-///
-/// # Panics
-/// Panics if `config.weeks < 2` or `config.racks == 0`.
+/// Panics on the same configs as [`simulate_policy_sharded_probed`], before
+/// any trace is generated.
 pub fn generate_fleet_probed(
     config: &LargeScaleConfig,
     threads: usize,
@@ -272,7 +270,8 @@ pub fn train_fleet_probed(
 /// the same `(config, policy)`.
 ///
 /// # Panics
-/// Panics if `fleet` and `trained` disagree on the rack count.
+/// Panics on the same configs as [`simulate_policy_sharded_probed`], or if
+/// `fleet` and `trained` disagree on the rack count.
 pub fn simulate_policy_prepared_probed(
     config: &LargeScaleConfig,
     policy: PolicyKind,
@@ -297,76 +296,9 @@ pub fn simulate_policy_prepared_probed(
         probe,
         |_, ((rack, model), tr), local, probe| {
             let sim_span = probe.span("shard/sim");
-            let outcome =
-                simulate_rack_trained_probed(config, policy, rack, model, tr, local, probe);
+            let outcome = simulate_rack_columnar(config, policy, rack, model, tr, local, probe);
             drop(sim_span);
             outcome
-        },
-    )
-}
-
-/// [`simulate_policy_prepared_probed`] without pre-trained templates:
-/// trains inside each worker (`"rack/setup"` spans), for drivers whose
-/// fault plans (and therefore prediction bias) vary between runs but whose
-/// traces do not (`exp_fault_tolerance`).
-pub fn simulate_policy_on_traces_probed(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    fleet: &FleetTraces,
-    telemetry: &Telemetry,
-    threads: usize,
-    probe: &dyn ShardProbe,
-) -> Vec<RackOutcome> {
-    validate(config);
-    drive_sharded(
-        threads,
-        fleet.racks.iter().collect(),
-        telemetry,
-        probe,
-        |_, (rack, model), local, probe| {
-            let setup_span = probe.span("rack/setup");
-            let trained = train_rack(config, rack, model);
-            drop(setup_span);
-            let sim_span = probe.span("shard/sim");
-            let outcome =
-                simulate_rack_trained_probed(config, policy, rack, model, &trained, local, probe);
-            drop(sim_span);
-            outcome
-        },
-    )
-}
-
-/// The retained row-oriented reference engine over the same pre-generated
-/// fleet and trained templates, serial by construction. `par_speedup` times
-/// this against [`simulate_policy_prepared_probed`] (the committed
-/// `speedup`), and `tests/equivalence.rs` pins byte-identity between the
-/// two engines; both consume identical inputs, so any divergence is an
-/// engine bug, never a data difference.
-///
-/// # Panics
-/// Panics if `fleet` and `trained` disagree on the rack count.
-pub fn simulate_policy_prepared_reference(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-    fleet: &FleetTraces,
-    trained: &TrainedFleet,
-    telemetry: &Telemetry,
-) -> Vec<RackOutcome> {
-    validate(config);
-    assert_eq!(
-        fleet.racks.len(),
-        trained.racks.len(),
-        "fleet and trained rack counts must match"
-    );
-    let items: Vec<(&(RackTrace, PowerModel), &TrainedRack)> =
-        fleet.racks.iter().zip(trained.racks.iter()).collect();
-    drive_sharded(
-        1,
-        items,
-        telemetry,
-        &NoopProbe,
-        |_, ((rack, model), tr), local, _| {
-            simulate_rack_reference(config, policy, rack, model, tr, local)
         },
     )
 }
@@ -377,17 +309,9 @@ pub fn simulate_policy_prepared_reference(
 ///
 /// Each simulation gets a buffered telemetry handle with a deterministic id
 /// base; buffers merge into `telemetry` in input order, so traces read as if
-/// the simulations had run back to back on one thread.
-pub fn run_cluster_sims(
-    configs: Vec<ClusterConfig>,
-    telemetry: &Telemetry,
-    threads: usize,
-) -> Vec<ClusterResult> {
-    run_cluster_sims_probed(configs, telemetry, threads, &NoopProbe)
-}
-
-/// [`run_cluster_sims`] with performance observation hooks (`"shard/sim"`
-/// per simulation, `"merge"` around the absorb, a `cluster_sims` counter).
+/// the simulations had run back to back on one thread. The probe sees a
+/// `"shard/sim"` span per simulation, `"merge"` around the absorb, and a
+/// `cluster_sims` counter.
 pub fn run_cluster_sims_probed(
     configs: Vec<ClusterConfig>,
     telemetry: &Telemetry,
@@ -434,7 +358,9 @@ pub fn run_cluster_sims_probed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoopProbe;
     use soc_telemetry::json::event_to_json;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn config() -> LargeScaleConfig {
         LargeScaleConfig::small_test()
@@ -443,7 +369,13 @@ mod tests {
     /// Render a traced run as (JSONL trace, metrics dump) for byte compare.
     fn traced_run(threads: usize) -> (String, String, Vec<RackOutcome>) {
         let (tm, sink) = Telemetry::memory();
-        let outcomes = simulate_policy_sharded(&config(), PolicyKind::SmartOClock, &tm, threads);
+        let outcomes = simulate_policy_sharded_probed(
+            &config(),
+            PolicyKind::SmartOClock,
+            &tm,
+            threads,
+            &NoopProbe,
+        );
         let trace: String = sink
             .events()
             .iter()
@@ -457,33 +389,16 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_match_serial_reference() {
-        let serial = crate::largescale::simulate_policy(&config(), PolicyKind::SmartOClock);
-        let sharded = simulate_policy_sharded(
-            &config(),
-            PolicyKind::SmartOClock,
-            &Telemetry::disabled(),
-            4,
-        );
-        assert_eq!(serial.len(), sharded.len());
-        for (a, b) in serial.iter().zip(&sharded) {
-            assert_eq!(a.rack, b.rack);
-            assert_eq!(a.steps, b.steps);
-            assert_eq!(a.requests, b.requests);
-            assert_eq!(a.granted, b.granted);
-            assert_eq!(a.capping_steps, b.capping_steps);
-            assert_eq!(a.capping_events, b.capping_events);
-        }
-    }
-
-    #[test]
     fn trace_and_metrics_are_thread_count_invariant() {
         let (trace_1, metrics_1, outcomes_1) = traced_run(1);
         for threads in [2, 4] {
             let (trace_n, metrics_n, outcomes_n) = traced_run(threads);
             assert_eq!(trace_1, trace_n, "threads={threads} trace diverged");
             assert_eq!(metrics_1, metrics_n, "threads={threads} metrics diverged");
-            assert_eq!(outcomes_1.len(), outcomes_n.len());
+            assert_eq!(
+                outcomes_1, outcomes_n,
+                "threads={threads} outcomes diverged"
+            );
         }
         assert!(!trace_1.is_empty());
         assert!(trace_1.contains("rack_sim_start"));
@@ -512,7 +427,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let (tm, sink) = Telemetry::memory();
-            let results = run_cluster_sims(configs(), &tm, threads);
+            let results = run_cluster_sims_probed(configs(), &tm, threads, &NoopProbe);
             let trace: String = sink.events().iter().map(event_to_json).collect();
             (trace, tm.metrics_snapshot().render(), results.len())
         };
@@ -523,5 +438,46 @@ mod tests {
         assert_eq!(trace_1, trace_2);
         assert_eq!(metrics_1, metrics_2);
         assert!(!trace_1.is_empty());
+    }
+
+    /// The panic message of `f`, or `None` if it returns normally.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = catch_unwind(AssertUnwindSafe(f)).err()?;
+        Some(match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(payload) => payload
+                .downcast_ref::<&str>()
+                .map_or_else(String::new, |s| s.to_string()),
+        })
+    }
+
+    #[test]
+    fn steps_that_do_not_divide_a_day_are_rejected_up_front() {
+        // 5 h divides neither a day nor the week; 7 min divides the week but
+        // not a day. Both are refused by validation, before any trace is
+        // generated, on the pre-generated and the streaming path alike.
+        for step in [SimDuration::from_hours(5), SimDuration::from_minutes(7)] {
+            let mut cfg = config();
+            cfg.step = step;
+            let generate = panic_message(|| {
+                generate_fleet_probed(&cfg, 1, &NoopProbe);
+            });
+            let stream = panic_message(|| {
+                simulate_policy_sharded_probed(
+                    &cfg,
+                    PolicyKind::SmartOClock,
+                    &Telemetry::disabled(),
+                    1,
+                    &NoopProbe,
+                );
+            });
+            for message in [generate, stream] {
+                let message = message.expect("a non-divisor step must panic");
+                assert!(
+                    message.contains("step must divide a day"),
+                    "step {step:?}: unexpected panic {message:?}"
+                );
+            }
+        }
     }
 }
