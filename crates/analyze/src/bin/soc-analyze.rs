@@ -10,7 +10,7 @@
 //!                       [--strip-label policy] [--out report.txt]
 //! ```
 //!
-//! Traces come from any bench binary run with `--trace-out` (or `SOC_TRACE`).
+//! Traces come from any bench binary run with `--trace-out`.
 
 use soc_analyze::chains::{self, DEFAULT_TERMINALS};
 use soc_analyze::{report, rollup, AttributionCounts, Trace, TraceDiff};
@@ -30,7 +30,7 @@ commands:
             [--strip-label LABEL] [--out FILE]
                                           A/B comparison of two traces
 
-Traces are produced by the soc-bench binaries via --trace-out (or SOC_TRACE).";
+Traces are produced by the soc-bench binaries via --trace-out.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -7,9 +7,7 @@
 //!   the default).
 //! * `--fast` — reduced scale for smoke runs.
 //! * `--csv <path>` — additionally write the table as CSV.
-//! * `--trace-out <path>` — write a JSONL telemetry trace of the run. The
-//!   `SOC_TRACE` environment variable is the fallback; when both are set the
-//!   CLI flag wins and a single warning line notes the override.
+//! * `--trace-out <path>` — write a JSONL telemetry trace of the run.
 //! * `--analyze` — after the run, analyze the trace with `soc-analyze` and
 //!   print the full report to stdout.
 //! * `--report-out <path>` — write that report to a file instead.
@@ -58,7 +56,7 @@ pub struct Cli {
     pub fast: bool,
     /// Optional CSV output path.
     pub csv: Option<PathBuf>,
-    /// Optional JSONL telemetry trace path (`--trace-out` / `SOC_TRACE`).
+    /// Optional JSONL telemetry trace path (`--trace-out`).
     pub trace_out: Option<PathBuf>,
     /// Print a `soc-analyze` report after the run (`--analyze`).
     pub analyze: bool,
@@ -104,33 +102,11 @@ impl Default for Cli {
     }
 }
 
-/// Apply the trace-path precedence rule: the `--trace-out` CLI flag wins
-/// over the `SOC_TRACE` environment variable. Returns the chosen path and
-/// whether the env var was overridden (callers print one warning line).
-pub fn resolve_trace_out(flag: Option<PathBuf>, env: Option<PathBuf>) -> (Option<PathBuf>, bool) {
-    match (flag, env) {
-        (Some(flag), Some(env)) => {
-            let overridden = env != flag;
-            (Some(flag), overridden)
-        }
-        (Some(flag), None) => (Some(flag), false),
-        (None, env) => (env, false),
-    }
-}
-
 impl Cli {
-    /// Parse from `std::env::args`. The `SOC_TRACE` environment variable
-    /// supplies `trace_out` when the flag is absent; when both are present
-    /// the flag wins and one warning line is printed. When analysis is
-    /// requested without any trace path, the trace goes to a temporary file.
+    /// Parse from `std::env::args`. When analysis is requested without a
+    /// trace path, the trace goes to a temporary file.
     pub fn from_env() -> Cli {
         let mut cli = Cli::parse(std::env::args().skip(1));
-        let env = std::env::var_os("SOC_TRACE").map(PathBuf::from);
-        let (trace_out, overridden) = resolve_trace_out(cli.trace_out.take(), env);
-        if overridden {
-            eprintln!("warning: --trace-out overrides SOC_TRACE");
-        }
-        cli.trace_out = trace_out;
         if cli.trace_out.is_none() && (cli.analyze || cli.report_out.is_some()) {
             cli.trace_out =
                 Some(std::env::temp_dir().join(format!("soc-trace-{}.jsonl", std::process::id())));
@@ -204,7 +180,7 @@ impl Cli {
         None
     }
 
-    /// The telemetry handle implied by `--trace-out` / `SOC_TRACE`: a JSONL
+    /// The telemetry handle implied by `--trace-out`: a JSONL
     /// file sink when a path was given, the zero-overhead disabled handle
     /// otherwise. Call [`Telemetry::flush`] (or drop every clone) before the
     /// process exits so the file buffer is written out.
@@ -397,24 +373,6 @@ mod tests {
         let cli = parse(&["--analyze", "--report-out", "/tmp/report.txt"]);
         assert!(cli.analyze);
         assert_eq!(cli.report_out.unwrap().to_str().unwrap(), "/tmp/report.txt");
-    }
-
-    #[test]
-    fn trace_out_flag_beats_env() {
-        let flag = Some(PathBuf::from("/tmp/flag.jsonl"));
-        let env = Some(PathBuf::from("/tmp/env.jsonl"));
-        let (chosen, warned) = resolve_trace_out(flag.clone(), env.clone());
-        assert_eq!(chosen, flag);
-        assert!(warned, "overriding the env var should warn");
-        // Same path on both sides: no warning.
-        let (chosen, warned) = resolve_trace_out(flag.clone(), flag.clone());
-        assert_eq!(chosen, flag);
-        assert!(!warned);
-        // Env alone is honored silently.
-        let (chosen, warned) = resolve_trace_out(None, env.clone());
-        assert_eq!(chosen, env);
-        assert!(!warned);
-        assert_eq!(resolve_trace_out(None, None), (None, false));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! that spends only the credits the baseline accrues.
 
 use simcore::series::TimeSeries;
-use soc_power::units::MegaHertz;
 use soc_reliability::wear::WearModel;
 
 /// The four Fig. 7 policies.
@@ -24,18 +23,6 @@ pub enum AgeingPolicy {
         /// Utilization above which the workload benefits from overclocking.
         threshold: f64,
     },
-}
-
-impl AgeingPolicy {
-    /// Display name matching Fig. 7's legend.
-    pub fn name(self) -> &'static str {
-        match self {
-            AgeingPolicy::Expected => "Expected ageing",
-            AgeingPolicy::NonOverclocked => "Non-overclocked",
-            AgeingPolicy::AlwaysOverclock => "Always overclock",
-            AgeingPolicy::OverclockAware { .. } => "Overclock-aware",
-        }
-    }
 }
 
 /// Cumulative ageing (in days) after each sample of `utilization`, under the
@@ -126,11 +113,6 @@ pub fn fig7_utilization(days: u64) -> TimeSeries {
     )
 }
 
-/// Convenience: frequency used for the overclocked policies.
-pub fn overclock_frequency(model: &WearModel) -> MegaHertz {
-    model.curve().plan().max_overclock()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,17 +171,8 @@ mod tests {
             let series = cumulative_ageing(&m, &util, policy);
             assert_eq!(series.len(), util.len());
             for w in series.windows(2) {
-                assert!(w[1] >= w[0], "{} must be monotone", policy.name());
+                assert!(w[1] >= w[0], "{policy:?} must be monotone");
             }
         }
-    }
-
-    #[test]
-    fn names_match_legend() {
-        assert_eq!(AgeingPolicy::Expected.name(), "Expected ageing");
-        assert_eq!(
-            AgeingPolicy::OverclockAware { threshold: 0.5 }.name(),
-            "Overclock-aware"
-        );
     }
 }

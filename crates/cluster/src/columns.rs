@@ -79,16 +79,6 @@ impl ServerColumns {
         }
     }
 
-    /// Number of servers.
-    pub fn len(&self) -> usize {
-        self.budget.len()
-    }
-
-    /// `true` when there are no servers.
-    pub fn is_empty(&self) -> bool {
-        self.budget.is_empty()
-    }
-
     /// Weekly epoch boundary: refresh every server's lifetime allowance.
     pub fn refresh_allowances(&mut self, weekly_allowance: SimDuration) {
         self.oc_remaining.fill(weekly_allowance);
@@ -105,16 +95,6 @@ impl ServerColumns {
                 }
             }
         }
-    }
-
-    /// Read-only view of the remaining weekly overclock allowances.
-    pub fn oc_remaining(&self) -> &[SimDuration] {
-        &self.oc_remaining
-    }
-
-    /// Read-only view of the live per-server budgets.
-    pub fn budgets(&self) -> &[Watts] {
-        &self.budget
     }
 }
 
@@ -841,11 +821,9 @@ mod tests {
     #[test]
     fn server_columns_api() {
         let mut cols = ServerColumns::new(3, SimDuration::from_hours(10));
-        assert_eq!(cols.len(), 3);
-        assert!(!cols.is_empty());
-        assert_eq!(cols.oc_remaining(), &[SimDuration::from_hours(10); 3]);
+        assert_eq!(cols.oc_remaining, [SimDuration::from_hours(10); 3]);
         cols.refresh_allowances(SimDuration::from_hours(2));
-        assert_eq!(cols.oc_remaining(), &[SimDuration::from_hours(2); 3]);
-        assert_eq!(cols.budgets(), &[Watts::ZERO; 3]);
+        assert_eq!(cols.oc_remaining, [SimDuration::from_hours(2); 3]);
+        assert_eq!(cols.budget, [Watts::ZERO; 3]);
     }
 }

@@ -66,19 +66,6 @@ pub struct DatacenterConfig {
     pub seed: u64,
 }
 
-impl DatacenterConfig {
-    /// A small test configuration.
-    pub fn small_test() -> DatacenterConfig {
-        DatacenterConfig {
-            racks: 4,
-            feed_fraction: 0.90,
-            weeks: 2,
-            step: SimDuration::from_minutes(15),
-            seed: 42,
-        }
-    }
-}
-
 /// Outcome of the flat-vs-nested comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatacenterOutcome {
@@ -200,6 +187,17 @@ pub fn simulate_datacenter(config: &DatacenterConfig) -> DatacenterOutcome {
 mod tests {
     use super::*;
 
+    /// A small test configuration.
+    fn small_test() -> DatacenterConfig {
+        DatacenterConfig {
+            racks: 4,
+            feed_fraction: 0.90,
+            weeks: 2,
+            step: SimDuration::from_minutes(15),
+            seed: 42,
+        }
+    }
+
     fn profile(regular: f64, demand: f64) -> DemandProfile {
         DemandProfile {
             regular: Watts::new(regular),
@@ -245,7 +243,7 @@ mod tests {
 
     #[test]
     fn nested_enforcement_protects_the_feed() {
-        let outcome = simulate_datacenter(&DatacenterConfig::small_test());
+        let outcome = simulate_datacenter(&small_test());
         assert!(outcome.steps > 0);
         assert!(
             outcome.feed_overloads_nested <= outcome.feed_overloads_flat,
@@ -265,15 +263,15 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let a = simulate_datacenter(&DatacenterConfig::small_test());
-        let b = simulate_datacenter(&DatacenterConfig::small_test());
+        let a = simulate_datacenter(&small_test());
+        let b = simulate_datacenter(&small_test());
         assert_eq!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "need at least one rack")]
     fn rejects_empty() {
-        let mut cfg = DatacenterConfig::small_test();
+        let mut cfg = small_test();
         cfg.racks = 0;
         let _ = simulate_datacenter(&cfg);
     }

@@ -87,15 +87,6 @@ impl RackOutcome {
         self.penalty_sum += frequency_penalty;
         self.penalty_samples += 1;
     }
-
-    /// Request success rate (1.0 when no requests).
-    pub fn success_rate(&self) -> f64 {
-        if self.requests == 0 {
-            1.0
-        } else {
-            self.granted as f64 / self.requests as f64
-        }
-    }
 }
 
 /// Aggregated Table I row.
@@ -212,12 +203,6 @@ mod tests {
         o.perf_sum = granted as f64 * 1.21 + (requests - granted) as f64;
         o.perf_samples = requests;
         o
-    }
-
-    #[test]
-    fn success_rate_handles_zero_requests() {
-        let o = RackOutcome::new(0, 0.5);
-        assert_eq!(o.success_rate(), 1.0);
     }
 
     #[test]

@@ -190,16 +190,6 @@ pub struct FleetTraces {
 }
 
 impl FleetTraces {
-    /// Number of racks.
-    pub fn len(&self) -> usize {
-        self.racks.len()
-    }
-
-    /// `true` when the fleet holds no racks.
-    pub fn is_empty(&self) -> bool {
-        self.racks.is_empty()
-    }
-
     /// Iterate over `(trace, model)` pairs in rack order.
     pub fn iter(&self) -> impl Iterator<Item = &(RackTrace, PowerModel)> {
         self.racks.iter()
@@ -211,13 +201,6 @@ impl FleetTraces {
 #[derive(Debug, Clone)]
 pub struct TrainedFleet {
     racks: Vec<TrainedRack>,
-}
-
-impl TrainedFleet {
-    /// Trained racks in rack order.
-    pub fn racks(&self) -> &[TrainedRack] {
-        &self.racks
-    }
 }
 
 /// Generate every rack's trace exactly once, dealt across `threads` workers

@@ -64,16 +64,6 @@ impl EpochTracker {
         }
     }
 
-    /// The epoch index most recently observed via [`EpochTracker::advance`].
-    pub fn current(&self) -> u64 {
-        self.current
-    }
-
-    /// The boundary period.
-    pub fn period(&self) -> SimDuration {
-        self.period
-    }
-
     /// Record that the tracked state was refreshed at `t` (e.g. the gOA
     /// delivered fresh budgets). Resets the staleness clock.
     pub fn mark_refresh(&mut self, t: SimTime) {
@@ -110,7 +100,7 @@ mod tests {
         assert_eq!(fired[0].0, 1);
         assert_eq!(fired[1].0, 2);
         assert_eq!(fired[0].1, SimTime::ZERO + SimDuration::WEEK);
-        assert_eq!(epochs.current(), 2);
+        assert_eq!(epochs.current, 2);
     }
 
     #[test]
@@ -122,7 +112,7 @@ mod tests {
         );
         assert_eq!(epochs.advance(SimTime::ZERO + SimDuration::DAY * 5), None);
         assert_eq!(epochs.index_of(SimTime::ZERO), 0);
-        assert_eq!(epochs.period(), SimDuration::DAY);
+        assert_eq!(epochs.period, SimDuration::DAY);
     }
 
     #[test]
@@ -177,7 +167,7 @@ mod tests {
                     None => {
                         assert_eq!(
                             epochs.index_of(t),
-                            epochs.current(),
+                            epochs.current,
                             "non-firing observations stay in the current epoch"
                         );
                     }

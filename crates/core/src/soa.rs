@@ -219,24 +219,9 @@ impl ServerOverclockAgent {
         self.server_id = server_id;
     }
 
-    /// The policy this agent runs.
-    pub fn policy(&self) -> PolicyKind {
-        self.policy
-    }
-
-    /// The power model.
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> SoaStats {
         self.stats
-    }
-
-    /// The budget assigned by the gOA.
-    pub fn assigned_budget(&self) -> Watts {
-        self.assigned_budget
     }
 
     /// Assign a new power budget (from the gOA's heterogeneous split).
@@ -276,11 +261,6 @@ impl ServerOverclockAgent {
         self.budget_refreshed_at.map(|at| now.saturating_since(at))
     }
 
-    /// Whether the agent is running degraded on a stale budget.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded_since.is_some()
-    }
-
     /// The budget the feedback loop currently enforces: assigned plus any
     /// exploration extra.
     pub fn effective_budget(&self) -> Watts {
@@ -309,17 +289,6 @@ impl ServerOverclockAgent {
         self.silicon = Some(part);
     }
 
-    /// The assigned silicon part, if heterogeneity is modelled.
-    pub fn silicon(&self) -> Option<&SiliconPart> {
-        self.silicon.as_ref()
-    }
-
-    /// The durable physical-wear ledger (overclocked intervals charged at
-    /// the part-scaled ageing rate; only advances while silicon is set).
-    pub fn wear_ledger(&self) -> &AgeingLedger {
-        &self.wear
-    }
-
     /// Scale the lifetime budget (overclocking-constrained experiments).
     pub fn scale_lifetime_budget(&mut self, scale: f64) {
         self.lifetime.scale_fraction(scale);
@@ -340,16 +309,6 @@ impl ServerOverclockAgent {
     /// Iterate over active grants.
     pub fn grants(&self) -> impl Iterator<Item = (GrantId, &Grant)> {
         self.grants.iter().map(|(&id, g)| (id, g))
-    }
-
-    /// Number of currently overclocked cores (commanded above turbo).
-    pub fn overclocked_cores(&self) -> usize {
-        let turbo = self.model.plan().turbo();
-        self.grants
-            .values()
-            .filter(|g| g.current > turbo)
-            .map(|g| g.cores.len())
-            .sum()
     }
 
     /// Predicted *extra* power demand of all active grants at their targets.
@@ -1249,7 +1208,7 @@ mod tests {
         assert!(a.grant(id_high).unwrap().current > a.grant(id_low).unwrap().current);
         // Over budget: the low-priority grant is throttled first.
         let _ = a.control_tick(SimTime::from_secs(2), Watts::new(500.0), None);
-        let turbo = a.model().plan().turbo();
+        let turbo = a.model.plan().turbo();
         assert_eq!(a.grant(id_low).unwrap().current, turbo);
     }
 
@@ -1670,12 +1629,12 @@ mod tests {
             t += SimDuration::from_minutes(1);
             let _ = a.control_tick(t, Watts::new(250.0), None);
         }
-        let worn = a.wear_ledger().actual_days();
+        let worn = a.wear.actual_days();
         assert!(worn > 0.0, "overclocked intervals must accrue wear");
         let _ = a.restart(t);
-        assert_eq!(a.silicon(), Some(&part), "bin identity is durable");
+        assert_eq!(a.silicon.as_ref(), Some(&part), "bin identity is durable");
         assert_eq!(
-            a.wear_ledger().actual_days(),
+            a.wear.actual_days(),
             worn,
             "the wear ledger survives a restart"
         );
@@ -1696,7 +1655,7 @@ mod tests {
                 t += SimDuration::from_minutes(1);
                 let _ = a.control_tick(t, Watts::new(250.0), None);
             }
-            a.wear_ledger().actual_days()
+            a.wear.actual_days()
         };
         let pristine = run(SiliconPart::uniform(&plan));
         let marginal = run(marginal_part(plan.max_overclock(), 0.3));
@@ -1711,7 +1670,7 @@ mod tests {
         let mut a = agent(PolicyKind::SmartOClock);
         a.set_power_template(flat_template(Watts::new(200.0)));
         // Exhaust every core's per-epoch budget except the lifetime budget.
-        for c in 0..a.model().cores() {
+        for c in 0..a.model.cores() {
             a.tracker.record(c, SimDuration::from_days(7));
         }
         let err = a

@@ -187,11 +187,6 @@ impl LocalWiAgent {
         s
     }
 
-    /// The current smoothed metrics, if any observation arrived yet.
-    pub fn current(&self) -> Option<VmMetrics> {
-        self.smoothed
-    }
-
     /// [`observe`](Self::observe) plus a `wi_observe` telemetry record
     /// labelled with the VM index (high-volume, `Debug` severity).
     pub fn observe_traced(
@@ -263,24 +258,14 @@ impl GlobalWiAgent {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> &OverclockPolicy {
-        &self.policy
-    }
-
     /// Replace all VM metric reports for this round (index = VM).
     pub fn report(&mut self, metrics: Vec<VmMetrics>) {
         self.latest = metrics;
     }
 
     /// A local agent reported that its overclocking request was rejected.
-    pub fn notify_rejection(&mut self) {
-        self.notify_rejection_with_cause(0);
-    }
-
-    /// [`notify_rejection`](Self::notify_rejection), recording the causal
-    /// decision id of the denial (the sOA's `oc_deny`) so that a resulting
-    /// `wi_scale_out` can point back at it.
+    /// `cause` is the causal decision id of the denial (the sOA's `oc_deny`),
+    /// so that a resulting `wi_scale_out` can point back at it.
     pub fn notify_rejection_with_cause(&mut self, cause: u64) {
         self.rejections += 1;
         if self.rejections >= self.policy.rejections_before_scale_out {
@@ -292,12 +277,8 @@ impl GlobalWiAgent {
 
     /// The sOA predicted resource exhaustion: proactively scale out so the
     /// replacement capacity is ready before overclocking stops (§IV-D).
-    pub fn notify_exhaustion(&mut self) {
-        self.notify_exhaustion_with_cause(0);
-    }
-
-    /// [`notify_exhaustion`](Self::notify_exhaustion), recording the causal
-    /// decision id of the `exhaustion_warning` that prompted the scale-out.
+    /// `cause` is the causal decision id of the `exhaustion_warning` that
+    /// prompted the scale-out.
     pub fn notify_exhaustion_with_cause(&mut self, cause: u64) {
         self.pending_scale_out += self.policy.scale_out_step;
         self.scale_out_cause = cause;
@@ -422,17 +403,12 @@ impl GlobalWiAgent {
         decision
     }
 
-    /// Whether the agent currently wants the service overclocked.
-    pub fn is_overclocking(&self) -> bool {
-        self.overclocking
-    }
-
     /// Causal decision id of the `wi_oc_start` that opened the current
     /// overclocking episode; `0` when idle or when telemetry is disabled.
-    /// Attach it to [`OverclockRequest::caused_by`] so downstream
+    /// Store it in [`OverclockRequest::cause`] so downstream
     /// `oc_grant`/`oc_deny` events chain back to the WI trigger.
     ///
-    /// [`OverclockRequest::caused_by`]: crate::messages::OverclockRequest::caused_by
+    /// [`OverclockRequest::cause`]: crate::messages::OverclockRequest::cause
     pub fn current_decision(&self) -> u64 {
         self.current_decision
     }
@@ -508,10 +484,10 @@ mod tests {
     fn rejections_trigger_corrective_scale_out() {
         let mut agent = GlobalWiAgent::new(OverclockPolicy::latency(100.0, 60.0));
         for _ in 0..3 {
-            agent.notify_rejection();
+            agent.notify_rejection_with_cause(0);
             assert_eq!(agent.decide(SimTime::ZERO).scale_out, 0);
         }
-        agent.notify_rejection();
+        agent.notify_rejection_with_cause(0);
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 1);
         // The counter resets after acting.
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 0);
@@ -520,7 +496,7 @@ mod tests {
     #[test]
     fn exhaustion_notification_scales_out_proactively() {
         let mut agent = GlobalWiAgent::new(OverclockPolicy::latency(100.0, 60.0));
-        agent.notify_exhaustion();
+        agent.notify_exhaustion_with_cause(0);
         assert_eq!(agent.decide(SimTime::ZERO).scale_out, 1);
     }
 

@@ -359,7 +359,7 @@ mod tests {
         assert_eq!(back.name, report.name);
         assert_eq!(back.alerts, report.alerts);
         assert_eq!(back.incidents, report.incidents);
-        assert_eq!(back.store.len(), report.store.len());
+        assert_eq!(back.store.iter().count(), report.store.iter().count());
         for ((key, series), (bkey, bseries)) in report.store.iter().zip(back.store.iter()) {
             assert_eq!(key, bkey);
             assert_eq!(series.buckets(), bseries.buckets());

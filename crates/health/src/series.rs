@@ -227,11 +227,6 @@ impl SeriesStore {
             .collect()
     }
 
-    /// Number of series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
     /// `true` when no series exist.
     pub fn is_empty(&self) -> bool {
         self.series.is_empty()

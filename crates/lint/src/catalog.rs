@@ -107,8 +107,8 @@ pub const CATALOG: &[LintInfo] = &[
         summary: "std::env in a sim-state crate; configuration must be explicit",
         rationale: "Environment lookups make behaviour depend on invisible host state; \
                     sim crates take configuration as values so runs are reproducible \
-                    from their inputs alone (bench binaries may read SOC_TRACE — they \
-                    are not sim-state crates).",
+                    from their inputs alone (bench binaries are not sim-state crates \
+                    and may read the environment).",
         example: "let mode = std::env::var(\"MODE\");",
     },
     LintInfo {

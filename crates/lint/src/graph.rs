@@ -261,11 +261,6 @@ impl CallGraph {
         }
         CallGraph { fns, calls }
     }
-
-    /// Node indices of every fn, for iteration.
-    pub fn nodes(&self) -> std::ops::Range<usize> {
-        0..self.fns.len()
-    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,6 @@ use crate::units::{MegaHertz, Volts};
 /// let plan = FrequencyPlan::amd_reference();
 /// assert_eq!(plan.turbo(), MegaHertz::new(3300));
 /// assert_eq!(plan.max_overclock(), MegaHertz::new(4000));
-/// assert!(plan.is_overclocked(MegaHertz::new(3400)));
-/// assert!(!plan.is_overclocked(MegaHertz::new(3300)));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrequencyPlan {
@@ -101,16 +99,6 @@ impl FrequencyPlan {
     /// Frequency-control step size.
     pub fn step(self) -> MegaHertz {
         self.step
-    }
-
-    /// Whether `f` is beyond the vendor turbo ceiling.
-    pub fn is_overclocked(self, f: MegaHertz) -> bool {
-        f > self.turbo
-    }
-
-    /// Overclocking headroom above turbo.
-    pub fn overclock_range(self) -> MegaHertz {
-        self.max_overclock - self.turbo
     }
 
     /// Clamp `f` into the operable range `[base, max_overclock]`.
@@ -244,9 +232,9 @@ mod tests {
     #[test]
     fn reference_plan_matches_paper() {
         let p = FrequencyPlan::amd_reference();
-        assert_eq!(p.turbo().as_ghz(), 3.3);
-        assert_eq!(p.max_overclock().as_ghz(), 4.0);
-        assert_eq!(p.overclock_range(), MegaHertz::new(700));
+        assert_eq!(p.base(), MegaHertz::new(2450));
+        assert_eq!(p.turbo(), MegaHertz::new(3300));
+        assert_eq!(p.max_overclock(), MegaHertz::new(4000));
     }
 
     #[test]
@@ -270,14 +258,6 @@ mod tests {
         assert_eq!(levels.first(), Some(&MegaHertz::new(2000)));
         assert_eq!(levels.last(), Some(&MegaHertz::new(2400)));
         assert_eq!(levels.len(), 5);
-    }
-
-    #[test]
-    fn overclock_detection() {
-        let p = FrequencyPlan::amd_reference();
-        assert!(!p.is_overclocked(p.base()));
-        assert!(!p.is_overclocked(p.turbo()));
-        assert!(p.is_overclocked(p.turbo() + p.step()));
     }
 
     #[test]

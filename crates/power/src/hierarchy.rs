@@ -1,105 +1,11 @@
-//! The datacenter power-delivery hierarchy.
+//! Budget splits in the power-delivery hierarchy.
 //!
 //! "The power delivery system in a cloud datacenter is organized in a
 //! hierarchy; the power budget of each parent node is split equally among its
-//! children" (§II). [`PowerNode`] models that tree and exposes both the
-//! conventional even split and the heterogeneous split SmartOClock's gOA
-//! computes (§IV-C).
+//! children" (§II). SmartOClock's gOA replaces that even split with the
+//! demand-proportional [`heterogeneous_split`] (§IV-C).
 
 use crate::units::Watts;
-
-/// A node in the power-delivery tree (datacenter row, PDU, rack, server…).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerNode {
-    name: String,
-    budget: Watts,
-    children: Vec<PowerNode>,
-}
-
-impl PowerNode {
-    /// Create a leaf node.
-    ///
-    /// # Panics
-    /// Panics if `budget` is negative.
-    pub fn leaf(name: impl Into<String>, budget: Watts) -> PowerNode {
-        let budget = validate_budget(budget);
-        PowerNode {
-            name: name.into(),
-            budget,
-            children: Vec::new(),
-        }
-    }
-
-    /// Create an interior node with children.
-    ///
-    /// # Panics
-    /// Panics if `budget` is negative.
-    pub fn with_children(
-        name: impl Into<String>,
-        budget: Watts,
-        children: Vec<PowerNode>,
-    ) -> PowerNode {
-        let budget = validate_budget(budget);
-        PowerNode {
-            name: name.into(),
-            budget,
-            children,
-        }
-    }
-
-    /// Node name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Provisioned budget of this node.
-    pub fn budget(&self) -> Watts {
-        self.budget
-    }
-
-    /// Immediate children.
-    pub fn children(&self) -> &[PowerNode] {
-        &self.children
-    }
-
-    /// Sum of children budgets; exceeds `budget()` under oversubscription.
-    pub fn children_budget(&self) -> Watts {
-        self.children.iter().map(|c| c.budget).sum()
-    }
-
-    /// Oversubscription ratio: children budget / own budget (1.0 for leaves
-    /// or unoversubscribed nodes).
-    pub fn oversubscription(&self) -> f64 {
-        if self.children.is_empty() || self.budget.get() == 0.0 {
-            return 1.0;
-        }
-        self.children_budget().ratio(self.budget)
-    }
-
-    /// Even split of this node's budget across its children — the
-    /// conventional policy the paper contrasts against.
-    ///
-    /// # Panics
-    /// Panics if the node has no children.
-    pub fn even_split(&self) -> Vec<Watts> {
-        assert!(!self.children.is_empty(), "even split of a leaf node");
-        vec![self.budget / self.children.len() as f64; self.children.len()]
-    }
-
-    /// Total number of leaves under this node (itself if a leaf).
-    pub fn leaf_count(&self) -> usize {
-        if self.children.is_empty() {
-            1
-        } else {
-            self.children.iter().map(PowerNode::leaf_count).sum()
-        }
-    }
-}
-
-fn validate_budget(budget: Watts) -> Watts {
-    assert!(budget.get() >= 0.0, "budget must be non-negative");
-    budget
-}
 
 /// One child's demand profile for [`heterogeneous_split`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -189,35 +95,6 @@ pub fn heterogeneous_split_into(budget: Watts, children: &[DemandProfile], out: 
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    fn rack_with_servers(n: usize, per_server: Watts, rack_budget: Watts) -> PowerNode {
-        let children = (0..n)
-            .map(|i| PowerNode::leaf(format!("server{i}"), per_server))
-            .collect();
-        PowerNode::with_children("rack", rack_budget, children)
-    }
-
-    #[test]
-    fn oversubscription_ratio() {
-        let rack = rack_with_servers(4, Watts::new(400.0), Watts::new(1200.0));
-        assert!((rack.oversubscription() - 4.0 * 400.0 / 1200.0).abs() < 1e-12);
-        let leaf = PowerNode::leaf("s", Watts::new(400.0));
-        assert_eq!(leaf.oversubscription(), 1.0);
-    }
-
-    #[test]
-    fn even_split_divides_equally() {
-        let rack = rack_with_servers(4, Watts::new(400.0), Watts::new(1200.0));
-        assert_eq!(rack.even_split(), vec![Watts::new(300.0); 4]);
-    }
-
-    #[test]
-    fn leaf_count_recurses() {
-        let rack1 = rack_with_servers(3, Watts::new(1.0), Watts::new(10.0));
-        let rack2 = rack_with_servers(2, Watts::new(1.0), Watts::new(10.0));
-        let row = PowerNode::with_children("row", Watts::new(15.0), vec![rack1, rack2]);
-        assert_eq!(row.leaf_count(), 5);
-    }
 
     #[test]
     fn paper_example_budgets() {

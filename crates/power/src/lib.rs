@@ -12,12 +12,11 @@
 //!   `dynamic ∝ u · f · V(f)²`. "Models are used to estimate the power impact
 //!   of overclocking; CPU utilization and core frequency are the input"
 //!   (paper §V-B).
-//! * [`server`] — per-server power state: core frequencies, utilization,
-//!   frequency caps (the RAPL-like enforcement hook).
 //! * [`rack`] — rack-level accounting: power limit, the 95 % warning
 //!   threshold, capping events, and prioritized throttling (§IV-D).
-//! * [`hierarchy`] — the datacenter power-delivery tree with even or
-//!   heterogeneous budget splits (§II, §IV-C).
+//! * [`hierarchy`] — heterogeneous budget splits: dividing a parent
+//!   budget's headroom across children in proportion to their predicted
+//!   overclocking demand (§IV-C).
 
 #![forbid(unsafe_code)]
 
@@ -25,11 +24,9 @@ pub mod freq;
 pub mod hierarchy;
 pub mod model;
 pub mod rack;
-pub mod server;
 pub mod units;
 
 pub use freq::{FrequencyPlan, VoltageCurve};
 pub use model::PowerModel;
 pub use rack::{RackMonitor, RackSignal};
-pub use server::ServerPower;
 pub use units::{MegaHertz, Watts};

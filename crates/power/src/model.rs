@@ -217,16 +217,6 @@ impl PowerModel {
         }
     }
 
-    /// Invert the uniform model: estimate average utilization from observed
-    /// server power at a known frequency. Clamped to `[0, 1]`.
-    pub fn utilization_from_power(&self, power: Watts, frequency: MegaHertz) -> f64 {
-        let per_core = self.core_power(1.0, frequency) * self.cores as f64;
-        if per_core.get() <= 0.0 {
-            return 0.0;
-        }
-        ((power - self.idle).get() / per_core.get()).clamp(0.0, 1.0)
-    }
-
     /// Split an observed server power draw into (regular, overclock) parts
     /// given how many cores were overclocked to `oc_freq` — the gOA's
     /// discrimination step (§IV-C "the number of cores from the server's
@@ -333,16 +323,6 @@ mod tests {
         let all_oc = m.server_power_uniform(0.8, m.plan().max_overclock());
         let mixed = m.server_power_mixed(0.8, 32, m.plan().max_overclock());
         assert!(mixed > all_turbo && mixed < all_oc);
-    }
-
-    #[test]
-    fn utilization_inversion_roundtrip() {
-        let m = model();
-        for u in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let p = m.server_power_uniform(u, m.plan().turbo());
-            let u2 = m.utilization_from_power(p, m.plan().turbo());
-            assert!((u - u2).abs() < 1e-9, "u={u} u2={u2}");
-        }
     }
 
     #[test]

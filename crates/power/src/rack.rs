@@ -37,10 +37,7 @@ pub struct RackMonitor {
     limit: Watts,
     warning_fraction: f64,
     capping_events: u64,
-    warnings: u64,
-    observations: u64,
     in_capping: bool,
-    peak: Watts,
 }
 
 impl RackMonitor {
@@ -59,25 +56,13 @@ impl RackMonitor {
             limit,
             warning_fraction,
             capping_events: 0,
-            warnings: 0,
-            observations: 0,
             in_capping: false,
-            peak: Watts::ZERO,
         }
     }
 
     /// The rack power limit.
     pub fn limit(&self) -> Watts {
         self.limit
-    }
-
-    /// Replace the limit (used by the power-constrained experiments, §V-A).
-    ///
-    /// # Panics
-    /// Panics if `limit` is not positive.
-    pub fn set_limit(&mut self, limit: Watts) {
-        assert!(limit.get() > 0.0, "rack limit must be positive");
-        self.limit = limit;
     }
 
     /// The absolute warning threshold.
@@ -90,8 +75,6 @@ impl RackMonitor {
     /// Consecutive over-limit observations count as a **single** capping
     /// event; the event ends once the draw falls back below the limit.
     pub fn observe(&mut self, draw: Watts) -> RackSignal {
-        self.observations += 1;
-        self.peak = self.peak.max(draw);
         if draw >= self.limit {
             if !self.in_capping {
                 self.in_capping = true;
@@ -101,7 +84,6 @@ impl RackMonitor {
         } else {
             self.in_capping = false;
             if draw >= self.warning_threshold() {
-                self.warnings += 1;
                 RackSignal::Warning
             } else {
                 RackSignal::Normal
@@ -114,29 +96,9 @@ impl RackMonitor {
         self.capping_events
     }
 
-    /// Number of warning observations so far.
-    pub fn warnings(&self) -> u64 {
-        self.warnings
-    }
-
-    /// Total observations.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Highest observed draw.
-    pub fn peak(&self) -> Watts {
-        self.peak
-    }
-
     /// Whether the rack is currently inside a capping event.
     pub fn is_capping(&self) -> bool {
         self.in_capping
-    }
-
-    /// Headroom below the limit for the given draw (zero when over).
-    pub fn headroom(&self, draw: Watts) -> Watts {
-        (self.limit - draw).clamp_non_negative()
     }
 }
 
@@ -216,16 +178,6 @@ mod tests {
         r.observe(Watts::new(80.0));
         r.observe(Watts::new(105.0));
         assert_eq!(r.capping_events(), 2);
-    }
-
-    #[test]
-    fn peak_and_headroom() {
-        let mut r = RackMonitor::new(Watts::new(100.0), 0.95);
-        r.observe(Watts::new(70.0));
-        r.observe(Watts::new(85.0));
-        assert_eq!(r.peak(), Watts::new(85.0));
-        assert_eq!(r.headroom(Watts::new(85.0)), Watts::new(15.0));
-        assert_eq!(r.headroom(Watts::new(120.0)), Watts::ZERO);
     }
 
     #[test]

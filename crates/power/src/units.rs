@@ -59,11 +59,6 @@ impl Watts {
         assert!(other.0 != 0.0, "division by zero watts");
         self.0 / other.0
     }
-
-    /// Energy accumulated by drawing this power for `seconds`, in joules.
-    pub fn energy_joules(self, seconds: f64) -> f64 {
-        self.0 * seconds
-    }
 }
 
 impl Add for Watts {
@@ -138,9 +133,6 @@ impl fmt::Display for Watts {
 pub struct MegaHertz(u32);
 
 impl MegaHertz {
-    /// Zero frequency.
-    pub const ZERO: MegaHertz = MegaHertz(0);
-
     /// Construct from a raw MHz count.
     pub const fn new(mhz: u32) -> MegaHertz {
         MegaHertz(mhz)
@@ -149,11 +141,6 @@ impl MegaHertz {
     /// Raw MHz count.
     pub const fn get(self) -> u32 {
         self.0
-    }
-
-    /// Frequency in GHz.
-    pub fn as_ghz(self) -> f64 {
-        self.0 as f64 / 1000.0
     }
 
     /// Ratio of two frequencies.
@@ -260,10 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn watts_sum_and_energy() {
+    fn watts_sum() {
         let total: Watts = vec![Watts::new(1.0), Watts::new(2.5)].into_iter().sum();
         assert_eq!(total, Watts::new(3.5));
-        assert_eq!(Watts::new(10.0).energy_joules(3600.0), 36_000.0);
     }
 
     #[test]
@@ -285,8 +271,7 @@ mod tests {
         let f = MegaHertz::new(3300);
         assert_eq!(f + MegaHertz::new(100), MegaHertz::new(3400));
         assert_eq!(f - MegaHertz::new(300), MegaHertz::new(3000));
-        assert_eq!(f.saturating_sub(MegaHertz::new(5000)), MegaHertz::ZERO);
-        assert_eq!(f.as_ghz(), 3.3);
+        assert_eq!(f.saturating_sub(MegaHertz::new(5000)), MegaHertz::new(0));
         assert_eq!(
             MegaHertz::new(5000).clamp(MegaHertz::new(2000), MegaHertz::new(4000)),
             MegaHertz::new(4000)

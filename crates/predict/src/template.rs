@@ -63,7 +63,6 @@ impl std::fmt::Display for TemplateKind {
 /// A built template that predicts a value for any instant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PowerTemplate {
-    kind: TemplateKind,
     step: SimDuration,
     repr: Repr,
 }
@@ -160,17 +159,7 @@ impl PowerTemplate {
                 Repr::Daily { weekday, weekend }
             }
         };
-        PowerTemplate { kind, step, repr }
-    }
-
-    /// The strategy this template was built with.
-    pub fn kind(&self) -> TemplateKind {
-        self.kind
-    }
-
-    /// The sampling step the template is defined over.
-    pub fn step(&self) -> SimDuration {
-        self.step
+        PowerTemplate { step, repr }
     }
 
     /// Predicted value at instant `t`.
@@ -197,7 +186,8 @@ impl PowerTemplate {
 
     /// Predicted value at a precomputed instant descriptor.
     ///
-    /// Equal to `self.predict(t)` when `slot == TemplateSlot::at(t, self.step())`.
+    /// Equal to `self.predict(t)` when `slot == TemplateSlot::at(t, step)` for
+    /// the step of the history the template was built from.
     /// The point is batching: the columnar rack engine computes one
     /// [`TemplateSlot`] per simulation step and probes every server's
     /// template with it, hoisting the `SimTime` decomposition (time-of-day /
@@ -220,31 +210,6 @@ impl PowerTemplate {
                 let profile = if slot.weekend { weekend } else { weekday };
                 profile[slot.day_slot % profile.len()]
             }
-        }
-    }
-
-    /// Predict a whole series aligned with `like` (same start/step/len).
-    pub fn predict_series(&self, like: &TimeSeries) -> TimeSeries {
-        let mut out = TimeSeries::new(like.start(), like.step());
-        for (t, _) in like.iter() {
-            out.push(self.predict(t));
-        }
-        out
-    }
-
-    /// The maximum value this template ever predicts.
-    ///
-    /// # Panics
-    /// Panics if the template is degenerate (empty profile).
-    pub fn peak(&self) -> f64 {
-        match &self.repr {
-            Repr::Flat(v) => *v,
-            Repr::Week(w) => w.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-            Repr::Daily { weekday, weekend } => weekday
-                .iter()
-                .chain(weekend)
-                .cloned()
-                .fold(f64::NEG_INFINITY, f64::max),
         }
     }
 
@@ -341,7 +306,6 @@ mod tests {
         for kind in TemplateKind::ALL {
             let base = PowerTemplate::build(&h, kind);
             let biased = base.clone().map_values(|v| v * 1.1);
-            assert_eq!(biased.kind(), base.kind());
             let mut t = SimTime::ZERO;
             while t < SimTime::ZERO + SimDuration::from_days(9) {
                 let expect = base.predict(t) * 1.1;
@@ -405,29 +369,6 @@ mod tests {
             let t = SimTime::ZERO + SimDuration::from_days(22) + SimDuration::from_hours(hour);
             assert!(max.predict(t) >= med.predict(t));
         }
-    }
-
-    #[test]
-    fn predict_series_aligns() {
-        let h = history();
-        let tpl = PowerTemplate::build(&h, TemplateKind::DailyMed);
-        let future = TimeSeries::generate(
-            SimTime::ZERO + SimDuration::from_days(14),
-            SimTime::ZERO + SimDuration::from_days(15),
-            SimDuration::HOUR,
-            |_| 0.0,
-        );
-        let pred = tpl.predict_series(&future);
-        assert_eq!(pred.len(), future.len());
-        assert_eq!(pred.start(), future.start());
-    }
-
-    #[test]
-    fn peak_is_max_prediction() {
-        let h = history();
-        let tpl = PowerTemplate::build(&h, TemplateKind::DailyMed);
-        // Weekday 11PM median = (330+335)/2.
-        assert_eq!(tpl.peak(), 332.5);
     }
 
     #[test]

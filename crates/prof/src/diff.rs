@@ -47,17 +47,6 @@ impl Default for Tolerance {
     }
 }
 
-impl Tolerance {
-    /// A uniform tolerance: `pct` for the total and every phase.
-    pub fn uniform(pct: f64) -> Tolerance {
-        Tolerance {
-            total_tolerance_pct: pct,
-            phase_tolerance_pct: pct,
-            ..Tolerance::default()
-        }
-    }
-}
-
 /// Verdict for one compared entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -318,6 +307,15 @@ mod tests {
     use super::*;
     use crate::snapshot::PhaseSnap;
 
+    /// `pct` for the total and every phase, default noise floor.
+    fn uniform(pct: f64) -> Tolerance {
+        Tolerance {
+            total_tolerance_pct: pct,
+            phase_tolerance_pct: pct,
+            ..Tolerance::default()
+        }
+    }
+
     fn snap(name: &str, total_ms: f64, phases: &[(&str, f64)]) -> Snapshot {
         let mut s = Snapshot {
             schema: crate::snapshot::SCHEMA,
@@ -343,7 +341,7 @@ mod tests {
     fn within_tolerance_passes() {
         let base = snap("base", 100.0, &[("sim", 80.0)]);
         let cur = snap("cur", 110.0, &[("sim", 90.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(!report.has_regression());
         assert_eq!(report.compared_phases(), 1);
     }
@@ -353,13 +351,13 @@ mod tests {
         // +25.0% against a 25% tolerance: strictly-greater semantics.
         let base = snap("base", 100.0, &[("sim", 100.0)]);
         let cur = snap("cur", 125.0, &[("sim", 125.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert_eq!(report.total.verdict, Verdict::Ok);
         assert_eq!(report.phases[0].verdict, Verdict::Ok);
         assert!(!report.has_regression());
         // One more part in a million tips it over.
         let cur = snap("cur", 125.01, &[("sim", 125.01)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(report.has_regression());
     }
 
@@ -367,7 +365,7 @@ mod tests {
     fn missing_phase_gates() {
         let base = snap("base", 100.0, &[("sim", 50.0), ("merge", 50.0)]);
         let cur = snap("cur", 100.0, &[("sim", 50.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(report.has_regression());
         let missing = report.phases.iter().find(|p| p.name == "merge").unwrap();
         assert_eq!(missing.verdict, Verdict::Missing);
@@ -377,7 +375,7 @@ mod tests {
     fn new_phase_does_not_gate() {
         let base = snap("base", 100.0, &[("sim", 100.0)]);
         let cur = snap("cur", 100.0, &[("sim", 100.0), ("merge", 30.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(!report.has_regression());
         let new = report.phases.iter().find(|p| p.name == "merge").unwrap();
         assert_eq!(new.verdict, Verdict::New);
@@ -402,7 +400,7 @@ mod tests {
     fn improvements_never_gate() {
         let base = snap("base", 100.0, &[("sim", 100.0)]);
         let cur = snap("cur", 10.0, &[("sim", 10.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert_eq!(report.total.verdict, Verdict::Improved);
         assert!(!report.has_regression());
     }
@@ -411,7 +409,7 @@ mod tests {
     fn zero_baseline_phase_is_tolerated() {
         let base = snap("base", 100.0, &[("sim", 0.0)]);
         let cur = snap("cur", 100.0, &[("sim", 50.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(!report.has_regression());
     }
 
@@ -419,7 +417,7 @@ mod tests {
     fn render_and_json_carry_the_verdicts() {
         let base = snap("base", 100.0, &[("sim", 50.0), ("merge", 50.0)]);
         let cur = snap("cur", 200.0, &[("sim", 150.0)]);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         let text = report.render();
         assert!(text.contains("REGRESSED"));
         assert!(text.contains("MISSING"));
@@ -436,7 +434,7 @@ mod tests {
         base.counters.insert("racks".into(), 8);
         let mut cur = snap("cur", 100.0, &[("sim", 100.0)]);
         cur.counters.insert("racks".into(), 16);
-        let report = diff(&base, &cur, &Tolerance::uniform(25.0));
+        let report = diff(&base, &cur, &uniform(25.0));
         assert!(!report.has_regression());
         assert_eq!(report.counters, vec![("racks".to_string(), 8, 16)]);
         assert!(report.render().contains("counter racks: 8 -> 16"));

@@ -14,10 +14,9 @@
 //!
 //! Four pieces:
 //!
-//! * **Phase timers** ([`Profiler::phase`]) — scoped RAII spans with
-//!   per-thread nesting (`sim/admission`); totals, counts, min/max per
-//!   `/`-joined path. [`Profiler::record`] folds in externally measured
-//!   durations for timings that span a parallel fan-out.
+//! * **Phase timings** ([`Profiler::record`]) — externally measured
+//!   durations folded into totals, counts, min/max per flat path literal
+//!   (`run/trace_gen`, `shard/sim`).
 //! * **Throughput counters** ([`Profiler::add`]) — monotonic work counts
 //!   (racks, sim_steps, events); snapshots derive `*_per_sec` rates.
 //! * **Memory sampling** ([`mem`]) — peak RSS from procfs and an opt-in
@@ -36,11 +35,12 @@
 //! ```
 //! use soc_prof::{Profiler, Tolerance};
 //!
+//! use std::time::Instant;
+//!
 //! let prof = Profiler::new("example");
-//! {
-//!     let _setup = prof.phase("setup");
-//!     let _inner = prof.phase("templates"); // records as setup/templates
-//! }
+//! let t = Instant::now();
+//! // ... build templates ...
+//! prof.record("setup/templates", t.elapsed());
 //! prof.add("racks", 8);
 //! let snap = prof.snapshot();
 //! assert!(snap.phases.contains_key("setup/templates"));
@@ -60,10 +60,9 @@ pub mod snapshot;
 
 pub use diff::{diff, Delta, DiffReport, Tolerance, Verdict};
 pub use mem::{alloc_counts, peak_rss_bytes, CountingAlloc};
-pub use phase::{PhaseGuard, PhaseStats};
+pub use phase::PhaseStats;
 pub use snapshot::{PhaseSnap, Snapshot, SCHEMA};
 
-use phase::LiveGuard;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -133,30 +132,9 @@ impl Profiler {
         inner.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Begin a scoped phase. The returned guard measures until drop and
-    /// nests under any phase already open on this thread (see [`phase`]).
-    /// Inert when disabled.
-    pub fn phase(&self, name: &str) -> PhaseGuard {
-        match &self.inner {
-            Some(_) => {
-                let (path, depth) = phase::push_phase(name);
-                PhaseGuard {
-                    live: Some(LiveGuard {
-                        profiler: self.clone(),
-                        path,
-                        depth,
-                        start: Instant::now(),
-                    }),
-                }
-            }
-            None => PhaseGuard { live: None },
-        }
-    }
-
-    /// Fold an externally measured duration into phase `path` (no nesting
-    /// logic — the path is taken literally). For timings that span a
-    /// parallel fan-out, where holding a [`PhaseGuard`] on the spawning
-    /// thread would nest worker phases differently at `--threads 1`.
+    /// Fold an externally measured duration into phase `path`. The path is
+    /// taken literally, so a timing that spans a parallel fan-out records
+    /// under the same key at every `--threads` value.
     pub fn record(&self, path: &str, elapsed: Duration) {
         if let Some(inner) = &self.inner {
             Self::state(inner)
@@ -191,15 +169,6 @@ impl Profiler {
             Self::state(inner)
                 .meta
                 .insert(key.to_string(), value.to_string());
-        }
-    }
-
-    /// Elapsed wall time since this profiler was created (zero when
-    /// disabled).
-    pub fn elapsed(&self) -> Duration {
-        match &self.inner {
-            Some(inner) => inner.start.elapsed(),
-            None => Duration::ZERO,
         }
     }
 
@@ -249,70 +218,11 @@ mod tests {
     fn disabled_profiler_is_inert() {
         let prof = Profiler::disabled();
         assert!(!prof.is_enabled());
-        let guard = prof.phase("anything");
-        assert_eq!(guard.path(), None);
-        drop(guard);
         prof.add("racks", 5);
         prof.set_meta("k", "v");
         prof.record("manual", Duration::from_millis(3));
         let snap = prof.snapshot();
         assert_eq!(snap, Snapshot::default());
-    }
-
-    #[test]
-    fn phases_nest_per_thread() {
-        let prof = Profiler::new("nesting");
-        {
-            let outer = prof.phase("outer");
-            assert_eq!(outer.path(), Some("outer"));
-            {
-                let inner = prof.phase("inner");
-                assert_eq!(inner.path(), Some("outer/inner"));
-            }
-            let sibling = prof.phase("sibling");
-            assert_eq!(sibling.path(), Some("outer/sibling"));
-        }
-        let top = prof.phase("top");
-        assert_eq!(top.path(), Some("top"));
-        drop(top);
-        let snap = prof.snapshot();
-        let keys: Vec<&str> = snap.phases.keys().map(String::as_str).collect();
-        assert_eq!(keys, ["outer", "outer/inner", "outer/sibling", "top"]);
-        assert_eq!(snap.phases["outer"].count, 1);
-    }
-
-    #[test]
-    fn out_of_order_drop_restores_the_stack() {
-        let prof = Profiler::new("ordering");
-        let outer = prof.phase("outer");
-        let inner = prof.phase("inner");
-        // Dropping the parent first force-closes the child's stack slot…
-        drop(outer);
-        // …so a new phase is top-level, not a child of a dead parent.
-        let after = prof.phase("after");
-        assert_eq!(after.path(), Some("after"));
-        drop(after);
-        // The leaked child still recorded under its original path.
-        drop(inner);
-        let snap = prof.snapshot();
-        assert!(snap.phases.contains_key("outer/inner"));
-        assert!(snap.phases.contains_key("after"));
-    }
-
-    #[test]
-    fn threads_do_not_inherit_the_callers_stack() {
-        let prof = Profiler::new("threads");
-        let _outer = prof.phase("outer");
-        let worker = prof.clone();
-        let path = std::thread::spawn(move || {
-            let guard = worker.phase("work");
-            guard.path().map(str::to_string)
-        })
-        .join()
-        .unwrap();
-        // Worker-thread phases key by their own stack: stable names for
-        // every --threads value.
-        assert_eq!(path.as_deref(), Some("work"));
     }
 
     #[test]
@@ -332,21 +242,21 @@ mod tests {
     #[test]
     fn record_takes_the_path_literally() {
         let prof = Profiler::new("record");
-        let _outer = prof.phase("outer");
         prof.record("run/t1", Duration::from_millis(7));
+        prof.record("run/t1", Duration::from_millis(3));
         let snap = prof.snapshot();
-        // Not nested under `outer`.
-        assert!(snap.phases.contains_key("run/t1"));
-        assert_eq!(snap.phases["run/t1"].count, 1);
+        // One key, exactly as given, folding both spans.
+        let keys: Vec<&str> = snap.phases.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["run/t1"]);
+        assert_eq!(snap.phases["run/t1"].count, 2);
+        assert_eq!(snap.phases["run/t1"].total_ms, 10.0);
     }
 
     #[test]
     fn snapshot_round_trips_through_json() {
         let prof = Profiler::new("roundtrip");
-        {
-            let _p = prof.phase("sim");
-            let _c = prof.phase("admission");
-        }
+        prof.record("sim", Duration::from_millis(5));
+        prof.record("sim/admission", Duration::from_millis(2));
         prof.add("sim_steps", 100);
         prof.set_meta("racks", 4);
         let snap = prof.snapshot();

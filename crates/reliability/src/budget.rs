@@ -108,19 +108,9 @@ impl OverclockBudget {
         }
     }
 
-    /// The paper's reference configuration: 10 % of time, weekly epochs.
-    pub fn reference() -> OverclockBudget {
-        OverclockBudget::new(0.10, SimDuration::WEEK)
-    }
-
     /// Budgeted fraction of time.
     pub fn fraction(&self) -> f64 {
         self.fraction
-    }
-
-    /// Epoch length.
-    pub fn epoch(&self) -> SimDuration {
-        self.epoch
     }
 
     /// Scale the budget fraction (used by the overclocking-constrained
@@ -146,22 +136,6 @@ impl OverclockBudget {
         (self.epoch_allowance() + self.carry_over)
             .saturating_sub(self.consumed)
             .saturating_sub(self.reserved)
-    }
-
-    /// Budget remaining including held reservations (what a scheduled
-    /// workload holding the reservation can still use).
-    pub fn remaining_with_reservations(&self) -> SimDuration {
-        (self.epoch_allowance() + self.carry_over).saturating_sub(self.consumed)
-    }
-
-    /// Currently reserved time.
-    pub fn reserved(&self) -> SimDuration {
-        self.reserved
-    }
-
-    /// Time consumed in the current epoch.
-    pub fn consumed_this_epoch(&self) -> SimDuration {
-        self.consumed
     }
 
     /// Lifetime total consumed.
@@ -329,7 +303,7 @@ mod tests {
         // But the reservation holder can consume it.
         b.consume_reserved(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
-        assert_eq!(b.reserved(), SimDuration::ZERO);
+        assert_eq!(b.reserved, SimDuration::ZERO);
     }
 
     #[test]
@@ -338,7 +312,7 @@ mod tests {
         b.reserve(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
         b.release(SimDuration::from_hours(4)).unwrap();
-        assert_eq!(b.reserved(), SimDuration::from_hours(6));
+        assert_eq!(b.reserved, SimDuration::from_hours(6));
         assert!((b.remaining().as_hours_f64() - 10.8).abs() < 1e-9);
         assert!(matches!(
             b.release(SimDuration::from_hours(100)),
@@ -352,7 +326,7 @@ mod tests {
         b.reserve(SimTime::ZERO, SimDuration::from_hours(10))
             .unwrap();
         b.advance_to(SimTime::ZERO + SimDuration::WEEK);
-        assert_eq!(b.reserved(), SimDuration::ZERO);
+        assert_eq!(b.reserved, SimDuration::ZERO);
     }
 
     #[test]
@@ -386,7 +360,7 @@ mod tests {
                 // Invariant: per-epoch consumption never exceeds allowance
                 // plus the carry-over cap (2 allowances total).
                 prop_assert!(
-                    b.consumed_this_epoch() <= b.epoch_allowance().mul_f64(2.0)
+                    b.consumed <= b.epoch_allowance().mul_f64(2.0)
                 );
             }
         }

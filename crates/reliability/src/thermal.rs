@@ -29,9 +29,6 @@ pub enum Cooling {
 }
 
 impl Cooling {
-    /// All technologies, from weakest to strongest.
-    pub const ALL: [Cooling; 3] = [Cooling::Air, Cooling::Liquid, Cooling::Immersion];
-
     /// Junction-to-ambient thermal resistance (°C per watt) for a whole
     /// server package at the granularity we model (socket-level).
     pub fn thermal_resistance(self) -> f64 {
@@ -101,11 +98,6 @@ impl ThermalModel {
             tau,
             junction_c: cooling.ambient_c(),
         }
-    }
-
-    /// The cooling technology.
-    pub fn cooling(&self) -> Cooling {
-        self.cooling
     }
 
     /// Current junction temperature (°C).

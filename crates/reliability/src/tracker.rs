@@ -5,7 +5,7 @@
 //! is per-server; an sOA uses mechanisms like Intel PMT for the time-in-state
 //! tracking and denies overclocking requests if the budget is exhausted."
 //! (paper §IV-B). [`TimeInState`] is the software stand-in for that vendor
-//! telemetry, and [`TimeInState::find_core_with_budget`] implements the
+//! telemetry, and [`TimeInState::pick_cores`] implements the
 //! core-migration exploration of §IV-D ("the sOA explores if any other cores
 //! on a server have enough budget to support the VM's overclocking").
 
@@ -21,7 +21,7 @@ use simcore::time::SimDuration;
 /// t.record(0, SimDuration::from_hours(9));
 /// assert!(t.has_budget(0, SimDuration::from_hours(1)));
 /// assert!(!t.has_budget(0, SimDuration::from_hours(2)));
-/// assert_eq!(t.find_core_with_budget(SimDuration::from_hours(2)), Some(1));
+/// assert_eq!(t.pick_cores(1, SimDuration::from_hours(2)), vec![1]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeInState {
@@ -58,14 +58,6 @@ impl TimeInState {
         self.per_core_cap = cap;
     }
 
-    /// Overclocked time recorded against core `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn consumed(&self, i: usize) -> SimDuration {
-        self.overclocked[i]
-    }
-
     /// Remaining overclockable time on core `i`.
     ///
     /// # Panics
@@ -91,12 +83,6 @@ impl TimeInState {
         self.overclocked[i] += dt;
     }
 
-    /// First core with at least `dt` of budget remaining, if any — the
-    /// migration target for a VM whose current cores are exhausted (§IV-D).
-    pub fn find_core_with_budget(&self, dt: SimDuration) -> Option<usize> {
-        (0..self.cores()).find(|&i| self.has_budget(i, dt))
-    }
-
     /// Up to `n` distinct cores that can each sustain `dt`, preferring the
     /// least-worn cores (wear levelling). Returns fewer than `n` if not
     /// enough cores qualify.
@@ -107,13 +93,6 @@ impl TimeInState {
         candidates.sort_by_key(|&i| (self.overclocked[i].as_micros(), i));
         candidates.truncate(n);
         candidates
-    }
-
-    /// Total overclocked time across cores.
-    pub fn total_consumed(&self) -> SimDuration {
-        self.overclocked
-            .iter()
-            .fold(SimDuration::ZERO, |a, &b| a + b)
     }
 
     /// Reset all counters (epoch rollover).
@@ -135,7 +114,6 @@ mod tests {
         for i in 0..8 {
             assert_eq!(t.remaining(i), SimDuration::from_hours(5));
         }
-        assert_eq!(t.total_consumed(), SimDuration::ZERO);
     }
 
     #[test]
@@ -144,7 +122,6 @@ mod tests {
         t.record(0, SimDuration::from_hours(3));
         assert_eq!(t.remaining(0), SimDuration::from_hours(2));
         assert_eq!(t.remaining(1), SimDuration::from_hours(5));
-        assert_eq!(t.total_consumed(), SimDuration::from_hours(3));
     }
 
     #[test]
@@ -153,16 +130,6 @@ mod tests {
         t.record(0, SimDuration::from_hours(3));
         assert_eq!(t.remaining(0), SimDuration::ZERO);
         assert!(!t.has_budget(0, SimDuration::from_micros(1)));
-    }
-
-    #[test]
-    fn find_core_skips_exhausted() {
-        let mut t = TimeInState::new(3, SimDuration::from_hours(2));
-        t.record(0, SimDuration::from_hours(2));
-        t.record(1, SimDuration::from_hours(1));
-        assert_eq!(t.find_core_with_budget(SimDuration::from_hours(2)), Some(2));
-        assert_eq!(t.find_core_with_budget(SimDuration::from_hours(1)), Some(1));
-        assert_eq!(t.find_core_with_budget(SimDuration::from_hours(5)), None);
     }
 
     #[test]
@@ -192,18 +159,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn total_equals_sum_of_cores(
-            records in prop::collection::vec((0usize..8, 0u64..100), 0..50)
-        ) {
-            let mut t = TimeInState::new(8, SimDuration::from_hours(1000));
-            let mut expected = 0u64;
-            for &(core, mins) in &records {
-                t.record(core, SimDuration::from_minutes(mins));
-                expected += mins;
-            }
-            prop_assert_eq!(t.total_consumed(), SimDuration::from_minutes(expected));
-        }
 
         #[test]
         fn picked_cores_always_have_budget(

@@ -155,17 +155,6 @@ impl WearModel {
         self.alpha + self.beta * utilization * utilization * av * at
     }
 
-    /// Ageing accumulated over `dt` at a fixed state, in days of lifetime.
-    pub fn ageing_over(
-        &self,
-        utilization: f64,
-        frequency: MegaHertz,
-        temp_c: f64,
-        dt: SimDuration,
-    ) -> f64 {
-        self.ageing_rate(utilization, frequency, temp_c) * dt.as_days_f64()
-    }
-
     /// Voltage-acceleration factor at `frequency` relative to turbo.
     pub fn voltage_acceleration(&self, frequency: MegaHertz) -> f64 {
         let v = self.curve.voltage(frequency).get();
@@ -253,26 +242,10 @@ impl AgeingLedger {
         self.elapsed_days
     }
 
-    /// Wall-clock days elapsed.
-    pub fn elapsed_days(&self) -> f64 {
-        self.elapsed_days
-    }
-
     /// Accumulated credit: expected minus actual ageing (negative when the
     /// part has aged faster than reference).
     pub fn credit_days(&self) -> f64 {
         self.expected_days() - self.actual_days
-    }
-
-    /// Whether the component is within its lifetime goal.
-    pub fn within_budget(&self) -> bool {
-        self.credit_days() >= 0.0
-    }
-
-    /// Merge another ledger (e.g. per-core ledgers into a socket view).
-    pub fn merge(&mut self, other: &AgeingLedger) {
-        self.actual_days += other.actual_days;
-        self.elapsed_days += other.elapsed_days;
     }
 }
 
@@ -370,23 +343,12 @@ mod tests {
         l.record(0.4, SimDuration::from_days(5));
         assert!((l.actual_days() - 2.0).abs() < 1e-9);
         assert!((l.credit_days() - 3.0).abs() < 1e-9);
-        assert!(l.within_budget());
+        assert!(l.credit_days() >= 0.0);
         l.record(4.0, SimDuration::from_days(1));
         assert!((l.actual_days() - 6.0).abs() < 1e-9);
-        assert!(l.within_budget()); // 6 actual vs 6 expected
+        assert!(l.credit_days() >= 0.0); // 6 actual vs 6 expected
         l.record(2.0, SimDuration::from_days(1));
-        assert!(!l.within_budget());
-    }
-
-    #[test]
-    fn ledger_merge_sums() {
-        let mut a = AgeingLedger::new();
-        a.record(1.0, SimDuration::from_days(2));
-        let mut b = AgeingLedger::new();
-        b.record(0.5, SimDuration::from_days(4));
-        a.merge(&b);
-        assert!((a.actual_days() - 4.0).abs() < 1e-9);
-        assert!((a.elapsed_days() - 6.0).abs() < 1e-9);
+        assert!(l.credit_days() < 0.0);
     }
 
     #[test]
@@ -439,7 +401,7 @@ mod tests {
                 l.record(rate, SimDuration::from_hours(hours));
             }
             prop_assert!((l.credit_days() - (l.expected_days() - l.actual_days())).abs() < 1e-9);
-            prop_assert!(l.elapsed_days() > 0.0);
+            prop_assert!(l.expected_days() > 0.0);
         }
     }
 }

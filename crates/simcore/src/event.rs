@@ -77,14 +77,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Create an empty queue with capacity for `cap` events.
-    pub fn with_capacity(cap: usize) -> EventQueue<E> {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: 0,
-        }
-    }
-
     /// Schedule `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
@@ -100,21 +92,6 @@ impl<E> EventQueue<E> {
     /// The time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -166,25 +143,18 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(2), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), ())));
     }
 
     #[test]
     fn collect_from_iterator() {
-        let q: EventQueue<u8> = vec![(SimTime::from_secs(1), 1u8), (SimTime::from_secs(0), 0u8)]
-            .into_iter()
-            .collect();
-        assert_eq!(q.len(), 2);
+        let mut q: EventQueue<u8> =
+            vec![(SimTime::from_secs(1), 1u8), (SimTime::from_secs(0), 0u8)]
+                .into_iter()
+                .collect();
         assert_eq!(q.peek_time(), Some(SimTime::ZERO));
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::ZERO, ());
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
+        let order: Vec<u8> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![0, 1]);
     }
 
     proptest! {

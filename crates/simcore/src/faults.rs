@@ -87,16 +87,6 @@ impl FaultWindow {
     pub fn contains(&self, t: SimTime) -> bool {
         self.start <= t && t < self.end
     }
-
-    /// Window length.
-    pub fn len(&self) -> SimDuration {
-        self.end.saturating_since(self.start)
-    }
-
-    /// Whether the window is empty.
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
 }
 
 /// Declarative description of a fault schedule. Fully serializable so an
@@ -200,14 +190,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The zero-fault plan.
-    pub fn none() -> FaultPlan {
-        FaultPlan {
-            config: FaultPlanConfig::none(),
-            outages: Vec::new(),
-        }
-    }
-
     /// Realize `config` over the horizon `[start, end)`.
     ///
     /// Outage windows are drawn uniformly inside the horizon from a
@@ -246,11 +228,6 @@ impl FaultPlan {
             config: config.clone(),
             outages,
         }
-    }
-
-    /// The configuration this plan realizes.
-    pub fn config(&self) -> &FaultPlanConfig {
-        &self.config
     }
 
     /// The realized gOA outage windows, sorted by start time.
@@ -416,8 +393,7 @@ mod tests {
         for w in plan.outages() {
             assert!(w.start >= s);
             assert!(w.end <= e);
-            assert_eq!(w.len(), SimDuration::from_hours(4));
-            assert!(!w.is_empty());
+            assert_eq!(w.end.saturating_since(w.start), SimDuration::from_hours(4));
             // The window answers its own containment probes.
             assert!(plan.goa_unreachable(w.start));
             assert!(!plan.goa_unreachable(w.end));

@@ -49,20 +49,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Append a row of displayable items.
-    ///
-    /// # Panics
-    /// Panics if the cell count does not match the header count.
-    pub fn row_display<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&strings);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// `true` when the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -191,7 +177,6 @@ mod tests {
     fn empty_table_renders_headers_and_rule_only() {
         let t = Table::new(&["only"]);
         assert!(t.is_empty());
-        assert_eq!(t.len(), 0);
         let r = t.render();
         let lines: Vec<&str> = r.lines().collect();
         assert_eq!(lines, vec!["only", "----"]);
@@ -207,14 +192,6 @@ mod tests {
         // Header column is padded out to the widest data cell.
         assert_eq!(lines[0], "h          x");
         assert_eq!(lines[1].len(), "wide-cell".len() + 2 + 1);
-    }
-
-    #[test]
-    fn row_display_stringifies() {
-        let mut t = Table::new(&["n"]);
-        t.row_display(&[42]);
-        assert!(t.render().contains("42"));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -256,15 +256,6 @@ impl TimeSeries {
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max)
     }
-
-    /// Minimum sample.
-    ///
-    /// # Panics
-    /// Panics if the series is empty.
-    pub fn min(&self) -> f64 {
-        assert!(!self.values.is_empty(), "min of an empty series");
-        self.values.iter().cloned().fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +358,6 @@ mod tests {
         let ts = TimeSeries::from_values(SimTime::ZERO, SimDuration::SECOND, vec![1.0, 3.0, 2.0]);
         assert_eq!(ts.mean(), 2.0);
         assert_eq!(ts.max(), 3.0);
-        assert_eq!(ts.min(), 1.0);
         assert_eq!(ts.percentile(50.0), 2.0);
     }
 

@@ -52,19 +52,6 @@ impl Weekday {
         Weekday::Sunday,
     ];
 
-    /// Index in `0..7`, Monday = 0.
-    pub fn index(self) -> usize {
-        match self {
-            Weekday::Monday => 0,
-            Weekday::Tuesday => 1,
-            Weekday::Wednesday => 2,
-            Weekday::Thursday => 3,
-            Weekday::Friday => 4,
-            Weekday::Saturday => 5,
-            Weekday::Sunday => 6,
-        }
-    }
-
     /// Build from an index in `0..7` (Monday = 0).
     ///
     /// # Panics
@@ -119,11 +106,6 @@ impl SimTime {
     /// Seconds since the epoch, as `f64`.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
-    }
-
-    /// Hours since the epoch, as `f64`.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3600.0
     }
 
     /// Duration elapsed since `earlier`.
@@ -182,8 +164,6 @@ impl SimTime {
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One millisecond.
-    pub const MILLISECOND: SimDuration = SimDuration(1_000);
     /// One second.
     pub const SECOND: SimDuration = SimDuration(MICROS_PER_SEC);
     /// One minute.
@@ -270,16 +250,6 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
     }
 
     /// Multiply by a non-negative float, rounding to the nearest microsecond.

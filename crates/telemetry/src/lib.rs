@@ -355,7 +355,7 @@ mod tests {
         ));
         tm.metrics(|m| m.inc_counter("c", &[]));
         tm2.metrics(|m| m.inc_counter("c", &[]));
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.events().len(), 1);
         assert_eq!(tm.metrics(|m| m.counter("c", &[])), Some(2));
     }
 
@@ -384,7 +384,7 @@ mod tests {
         tm_event!(tm, SimTime::ZERO, Component::Sim, Severity::Info, "x",
             "v" => { evaluated = true; 1u64 });
         assert!(evaluated);
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.events().len(), 1);
     }
 
     #[test]
@@ -412,7 +412,7 @@ mod tests {
             Severity::Info,
             "e",
         ));
-        assert_eq!(sink.len(), 1);
+        assert_eq!(sink.events().len(), 1);
         // Base 0 clamps to 1 so a buffered handle never emits the no-id value.
         let (tm, _sink) = Telemetry::buffered(0);
         assert_eq!(tm.next_id(), 1);

@@ -48,16 +48,6 @@ impl MemorySink {
         self.events.lock().expect("memory sink poisoned").clone()
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("memory sink poisoned").len()
-    }
-
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Drop all recorded events.
     pub fn clear(&self) {
         self.events.lock().expect("memory sink poisoned").clear();
@@ -133,14 +123,14 @@ mod tests {
     #[test]
     fn memory_sink_collects_and_filters() {
         let sink = MemorySink::new();
-        assert!(sink.is_empty());
+        assert!(sink.events().is_empty());
         sink.record(&ev("a"));
         sink.record(&ev("b"));
         sink.record(&ev("a"));
-        assert_eq!(sink.len(), 3);
+        assert_eq!(sink.events().len(), 3);
         assert_eq!(sink.named("a").len(), 2);
         sink.clear();
-        assert!(sink.is_empty());
+        assert!(sink.events().is_empty());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use simcore::series::TimeSeries;
 use simcore::stats::Ecdf;
-use soc_power::model::PowerModel;
 use soc_power::units::Watts;
 
 /// CPU generation of a rack's servers (the §V-B fleets mix Intel and AMD).
@@ -16,16 +15,6 @@ pub enum CpuGeneration {
     Amd,
     /// Intel-generation servers.
     Intel,
-}
-
-impl CpuGeneration {
-    /// The power model for this generation.
-    pub fn power_model(self) -> PowerModel {
-        match self {
-            CpuGeneration::Amd => PowerModel::reference_server(),
-            CpuGeneration::Intel => PowerModel::intel_reference_server(),
-        }
-    }
 }
 
 impl std::fmt::Display for CpuGeneration {
@@ -74,27 +63,6 @@ impl ServerTrace {
             oc_demand_cores: self.oc_demand_cores.values(),
         }
     }
-
-    /// Peak baseline power over the span.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn peak_power(&self) -> Watts {
-        Watts::new(self.power.max())
-    }
-
-    /// Mean baseline power over the span.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn mean_power(&self) -> Watts {
-        Watts::new(self.power.mean())
-    }
-
-    /// Whether the server ever requests overclocking.
-    pub fn wants_overclock(&self) -> bool {
-        !self.oc_demand_cores.is_empty() && self.oc_demand_cores.max() > 0.0
-    }
 }
 
 /// Telemetry for one rack.
@@ -114,12 +82,6 @@ pub struct RackTrace {
 }
 
 impl RackTrace {
-    /// Rack power utilization series (power / limit).
-    pub fn utilization(&self) -> TimeSeries {
-        let limit = self.limit.get();
-        self.power.map(|p| p / limit)
-    }
-
     /// Mean power utilization.
     ///
     /// # Panics
@@ -134,27 +96,6 @@ impl RackTrace {
     /// Panics if the trace is empty or `p` outside `[0, 100]`.
     pub fn utilization_percentile(&self, p: f64) -> f64 {
         self.power.percentile(p) / self.limit.get()
-    }
-
-    /// Headroom series: limit minus draw (clamped at zero).
-    pub fn headroom(&self) -> TimeSeries {
-        let limit = self.limit.get();
-        self.power.map(|p| (limit - p).max(0.0))
-    }
-
-    /// Fraction of samples where draw is below `fraction` of the limit.
-    ///
-    /// # Panics
-    /// Panics if the trace is empty.
-    pub fn fraction_below(&self, fraction: f64) -> f64 {
-        let threshold = self.limit.get() * fraction;
-        let below = self
-            .power
-            .values()
-            .iter()
-            .filter(|&&p| p < threshold)
-            .count();
-        below as f64 / self.power.len() as f64
     }
 }
 
@@ -197,11 +138,6 @@ impl FleetTrace {
                 .collect::<Vec<_>>(),
         )
     }
-
-    /// Total number of servers with retained per-server traces.
-    pub fn server_count(&self) -> usize {
-        self.racks.iter().map(|r| r.servers.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -226,29 +162,7 @@ mod tests {
     #[test]
     fn utilization_divides_by_limit() {
         let r = rack();
-        assert_eq!(r.utilization().values(), &[0.5, 0.7, 0.9, 0.6]);
         assert!((r.mean_utilization() - 0.675).abs() < 1e-12);
-    }
-
-    #[test]
-    fn headroom_and_fraction_below() {
-        let r = rack();
-        assert_eq!(r.headroom().values(), &[500.0, 300.0, 100.0, 400.0]);
-        assert_eq!(r.fraction_below(0.8), 0.75);
-        assert_eq!(r.fraction_below(0.2), 0.0);
-    }
-
-    #[test]
-    fn server_trace_helpers() {
-        let s = ServerTrace {
-            index: 0,
-            utilization: series(vec![0.2, 0.4]),
-            power: series(vec![150.0, 250.0]),
-            oc_demand_cores: series(vec![0.0, 8.0]),
-        };
-        assert_eq!(s.peak_power(), Watts::new(250.0));
-        assert_eq!(s.mean_power(), Watts::new(200.0));
-        assert!(s.wants_overclock());
     }
 
     #[test]

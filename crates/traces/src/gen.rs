@@ -184,17 +184,6 @@ impl TraceGenerator {
         }
     }
 
-    /// Create a generator with a custom power model for AMD-generation
-    /// racks.
-    pub fn with_model(seed: u64, model: PowerModel) -> TraceGenerator {
-        TraceGenerator { seed, model }
-    }
-
-    /// The power model AMD-generation servers are generated with.
-    pub fn model(&self) -> &PowerModel {
-        &self.model
-    }
-
     /// The power model used for racks of the given generation.
     pub fn model_for(&self, generation: CpuGeneration) -> PowerModel {
         match generation {
@@ -510,7 +499,7 @@ mod tests {
             .racks
             .iter()
             .flat_map(|r| &r.servers)
-            .filter(|s| s.wants_overclock())
+            .filter(|s| s.oc_demand_cores.values().iter().any(|&c| c > 0.0))
             .count();
         assert!(wanting > 0, "no server ever requested overclocking");
     }

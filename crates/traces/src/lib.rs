@@ -21,13 +21,11 @@
 //! * [`fleet`] — trace containers ([`fleet::ServerTrace`],
 //!   [`fleet::RackTrace`], [`fleet::FleetTrace`]) with the aggregate
 //!   statistics the figures plot.
-//! * [`io`] — CSV import/export for all containers.
 
 #![forbid(unsafe_code)]
 
 pub mod fleet;
 pub mod gen;
-pub mod io;
 pub mod services;
 pub mod shape;
 

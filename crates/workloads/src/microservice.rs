@@ -209,11 +209,6 @@ impl MicroserviceSim {
         &self.spec
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Number of *active* VMs (routing targets).
     pub fn active_vms(&self) -> usize {
         self.vms.iter().filter(|v| v.active).count()
@@ -291,16 +286,6 @@ impl MicroserviceSim {
                 self.route(req);
             }
         }
-    }
-
-    /// Total arrivals since construction.
-    pub fn total_arrivals(&self) -> u64 {
-        self.total_arrivals
-    }
-
-    /// Total completions since construction.
-    pub fn total_completions(&self) -> u64 {
-        self.total_completions
     }
 
     /// Requests currently queued or in service.
@@ -587,7 +572,7 @@ mod tests {
         // All work keeps completing through the remaining VM.
         assert!(stats.completions > 0);
         // Conservation: nothing lost.
-        assert!(sim.total_completions() <= sim.total_arrivals());
+        assert!(sim.total_completions <= sim.total_arrivals);
     }
 
     #[test]
@@ -609,13 +594,10 @@ mod tests {
         let w2 = sim.advance_window(SimTime::from_secs(20));
         assert!(w1.arrivals > 0 && w2.arrivals > 0);
         // Window counters partition the lifetime counters.
-        assert_eq!(sim.total_arrivals(), w1.arrivals + w2.arrivals);
-        assert_eq!(sim.total_completions(), w1.completions + w2.completions);
+        assert_eq!(sim.total_arrivals, w1.arrivals + w2.arrivals);
+        assert_eq!(sim.total_completions, w1.completions + w2.completions);
         // Conservation: everything that arrived is either done or in system.
-        assert_eq!(
-            sim.total_arrivals(),
-            sim.total_completions() + sim.in_system()
-        );
+        assert_eq!(sim.total_arrivals, sim.total_completions + sim.in_system());
     }
 
     #[test]
@@ -667,8 +649,8 @@ mod tests {
                     sim.set_active_vm_count(vms);
                 }
                 prop_assert_eq!(
-                    sim.total_arrivals(),
-                    sim.total_completions() + sim.in_system()
+                    sim.total_arrivals,
+                    sim.total_completions + sim.in_system()
                 );
             }
 
@@ -680,7 +662,7 @@ mod tests {
                 let rate = RateSchedule::constant(load * s.capacity_per_vm(1.0));
                 let mut sim = MicroserviceSim::new(s, turbo(), rate, 1, seed);
                 let w = sim.advance_window(SimTime::from_secs(30));
-                prop_assert!(w.completions <= sim.total_completions());
+                prop_assert!(w.completions <= sim.total_completions);
                 if !w.p99_ms.is_nan() {
                     prop_assert!(w.p99_ms >= 0.0);
                     prop_assert!(w.p99_ms + 1e-9 >= w.mean_ms);

@@ -20,8 +20,8 @@ use soc_power::units::MegaHertz;
 /// let mut job = MlTrain::new(MegaHertz::new(3300), 0.9);
 /// job.run_for(SimDuration::from_secs(100), MegaHertz::new(3300));
 /// job.run_for(SimDuration::from_secs(100), MegaHertz::new(1650)); // capped
-/// // 100s at full speed + 100s at half speed = 150 reference-seconds.
-/// assert!((job.progress_seconds() - 150.0).abs() < 1e-9);
+/// // 100s at full speed + 100s at half speed = 150 reference-seconds in 200s.
+/// assert!((job.relative_throughput() - 0.75).abs() < 1e-9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MlTrain {
@@ -66,16 +66,6 @@ impl MlTrain {
         self.elapsed += dt;
     }
 
-    /// Total progress in reference-seconds.
-    pub fn progress_seconds(&self) -> f64 {
-        self.progress_seconds
-    }
-
-    /// Wall-clock time elapsed.
-    pub fn elapsed(&self) -> SimDuration {
-        self.elapsed
-    }
-
     /// Mean throughput relative to running uncapped the whole time
     /// (1.0 = no capping penalty).
     ///
@@ -95,7 +85,6 @@ mod tests {
     fn progress_tracks_frequency() {
         let mut job = MlTrain::new(MegaHertz::new(3300), 0.9);
         job.run_for(SimDuration::from_secs(60), MegaHertz::new(3300));
-        assert!((job.progress_seconds() - 60.0).abs() < 1e-9);
         assert!((job.relative_throughput() - 1.0).abs() < 1e-9);
     }
 
@@ -112,7 +101,6 @@ mod tests {
         job.run_for(SimDuration::from_secs(50), MegaHertz::new(3000));
         job.run_for(SimDuration::from_secs(50), MegaHertz::new(2400));
         assert!((job.relative_throughput() - 0.9).abs() < 1e-9);
-        assert_eq!(job.elapsed(), SimDuration::from_secs(100));
     }
 
     #[test]

@@ -364,8 +364,11 @@ fn smoke_100k_racks_streams_and_stays_deterministic() {
     // run to ~8 evaluated steps per rack.
     cfg.step = SimDuration::from_hours(6);
     // Heterogeneous silicon at scale: the per-bin tables must stay
-    // deterministic across sharding too.
-    let cfg = binned(cfg, 42);
+    // deterministic across sharding too. At `binned()`'s 0.3 risk budget
+    // parts down-bin but none can be denied; 0.1 is tight enough that both
+    // outcomes occur.
+    let mut cfg = binned(cfg, 42);
+    cfg.binning.risk_budget = 0.1;
     let telemetry = Telemetry::disabled();
     let one =
         simulate_policy_sharded_probed(&cfg, PolicyKind::SmartOClock, &telemetry, 1, &NoopProbe);
@@ -376,5 +379,10 @@ fn smoke_100k_racks_streams_and_stays_deterministic() {
     let granted: u64 = one.iter().map(|o| o.granted).sum();
     assert!(granted > 0, "no overclocking granted across 100k racks");
     let denied: u64 = one.iter().map(|o| o.bin_denied).sum();
-    assert!(denied > 0, "a 0.3 risk budget must deny some of 100k racks");
+    assert!(denied > 0, "a 0.1 risk budget must deny some of 100k racks");
+    let down_binned: u64 = one.iter().map(|o| o.down_binned).sum();
+    assert!(
+        down_binned > 0,
+        "a 0.1 risk budget must down-bin some parts"
+    );
 }
