@@ -42,9 +42,9 @@ pub fn walk_forward(series: &TimeSeries, kind: TemplateKind) -> WalkForwardRepor
         let train_start = series.start() + SimDuration::WEEK * (week as u64 - 1);
         let train_end = series.start() + SimDuration::WEEK * week as u64;
         let test_end = series.start() + SimDuration::WEEK * (week as u64 + 1);
-        let train = series.slice(train_start, train_end);
+        let train = series.window(train_start, train_end);
         let test = series.slice(train_end, test_end);
-        let template = PowerTemplate::build(&train, kind);
+        let template = PowerTemplate::build(train, kind);
         for (t, v) in test.iter() {
             predicted.push(template.predict(t));
             actual.push(v);
@@ -69,8 +69,7 @@ pub fn template_at(history: &TimeSeries, now: SimTime, kind: TemplateKind) -> Po
         history.start() <= train_start && history.end() >= now,
         "history must cover the week before `now`"
     );
-    let train = history.slice(train_start, now);
-    PowerTemplate::build(&train, kind)
+    PowerTemplate::build(history.window(train_start, now), kind)
 }
 
 #[cfg(test)]

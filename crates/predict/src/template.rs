@@ -9,8 +9,8 @@
 //!
 //! Fig. 15 compares five strategies; all are implemented here.
 
-use simcore::series::TimeSeries;
-use simcore::stats::percentile;
+use simcore::series::SeriesWindow;
+use simcore::stats::{percentile, percentile_of_sorted};
 use simcore::time::{SimDuration, SimTime};
 
 /// Template-construction strategy (Fig. 15).
@@ -106,12 +106,14 @@ impl TemplateSlot {
 }
 
 impl PowerTemplate {
-    /// Build a template of the given kind from training history.
+    /// Build a template of the given kind from training history: a whole
+    /// `&TimeSeries`, or a borrowed [`SeriesWindow`] of one.
     ///
     /// # Panics
     /// Panics if `history` is empty, or (for `Weekly`/`Daily*`) shorter than
     /// one full week, or if the step does not divide a day evenly.
-    pub fn build(history: &TimeSeries, kind: TemplateKind) -> PowerTemplate {
+    pub fn build<'a>(history: impl Into<SeriesWindow<'a>>, kind: TemplateKind) -> PowerTemplate {
+        let history: SeriesWindow<'a> = history.into();
         assert!(
             !history.is_empty(),
             "cannot build a template from an empty history"
@@ -151,7 +153,7 @@ impl PowerTemplate {
                     "Daily templates need at least one full week of history"
                 );
                 let agg: fn(&[f64]) -> f64 = match kind {
-                    TemplateKind::DailyMed => |xs| percentile(xs, 50.0),
+                    TemplateKind::DailyMed => daily_median,
                     _ => |xs| xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
                 };
                 let weekday = fill_gaps(history.daily_profile(|d| !d.is_weekend(), agg));
@@ -258,6 +260,20 @@ impl PowerTemplate {
     }
 }
 
+/// `percentile(xs, 50.0)`, sorted on the stack when `xs` fits: a week of
+/// training gives each day slot five weekday or two weekend samples, so
+/// the heap copy `percentile` sorts would dominate the slot's cost.
+fn daily_median(xs: &[f64]) -> f64 {
+    let mut buf = [0.0; 32];
+    let Some(sorted) = buf.get_mut(..xs.len()) else {
+        return percentile(xs, 50.0);
+    };
+    assert!(xs.iter().all(|x| !x.is_nan()), "NaN in percentile input");
+    sorted.copy_from_slice(xs);
+    sorted.sort_unstable_by(f64::total_cmp);
+    percentile_of_sorted(sorted, 50.0)
+}
+
 /// Replace NaN slots (no samples for that slot in training) by the nearest
 /// preceding non-NaN value, falling back to the series mean of defined slots.
 fn fill_gaps(mut profile: Vec<f64>) -> Vec<f64> {
@@ -281,6 +297,7 @@ fn fill_gaps(mut profile: Vec<f64>) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::series::TimeSeries;
 
     /// Two weeks of hourly data: value = 100 + 10·hour_of_day on weekdays,
     /// 50 on weekends; second week has a +5 offset.

@@ -2,8 +2,8 @@
 //!
 //! Production traces in the paper are collected at a 5-minute granularity
 //! (§V-B). [`TimeSeries`] models exactly that: a start time, a fixed step,
-//! and one `f64` sample per step. The time-of-day/weekday grouping methods
-//! implement the aggregation the power templates are built from.
+//! and one `f64` sample per step. [`SeriesWindow`] borrows a run of them;
+//! its time-of-day grouping is the aggregation power templates are built on.
 
 use crate::stats::{mean, percentile};
 use crate::time::{SimDuration, SimTime, Weekday};
@@ -164,15 +164,22 @@ impl TimeSeries {
 
     /// Apply a function to every value, producing a new series.
     pub fn map<F: FnMut(f64) -> f64>(&self, f: F) -> TimeSeries {
-        TimeSeries {
-            start: self.start,
-            step: self.step,
-            values: self.values.iter().copied().map(f).collect(),
-        }
+        SeriesWindow::from(self).map(f)
     }
 
     /// Sub-series covering `[from, to)` (clamped to the available range).
     pub fn slice(&self, from: SimTime, to: SimTime) -> TimeSeries {
+        let window = self.window(from, to);
+        TimeSeries {
+            start: window.start,
+            step: self.step,
+            values: window.values.to_vec(),
+        }
+    }
+
+    /// Borrowed view of the samples covering `[from, to)`, clamped like
+    /// [`TimeSeries::slice`] but without copying them.
+    pub fn window(&self, from: SimTime, to: SimTime) -> SeriesWindow<'_> {
         let lo = if from <= self.start {
             0
         } else {
@@ -189,44 +196,11 @@ impl TimeSeries {
         };
         let lo = lo.min(self.values.len());
         let hi = hi.min(self.values.len()).max(lo);
-        TimeSeries {
+        SeriesWindow {
             start: self.time_at_index(lo),
             step: self.step,
-            values: self.values[lo..hi].to_vec(),
+            values: self.values.get(lo..hi).unwrap_or_default(),
         }
-    }
-
-    /// Group samples by slot-within-day, returning `slots_per_day` buckets.
-    ///
-    /// Bucket `i` contains every sample whose time-of-day falls in slot `i`.
-    /// This is the aggregation behind the paper's *DailyMed*/*DailyMax*
-    /// templates ("the template's value at 9AM is the median of rack's power
-    /// consumption at 9AM across all five weekdays", §IV-B).
-    ///
-    /// `day_filter` selects which weekdays participate (e.g. weekdays only).
-    pub fn group_by_time_of_day<F: Fn(Weekday) -> bool>(&self, day_filter: F) -> Vec<Vec<f64>> {
-        let slots_per_day = (SimDuration::DAY.as_micros() / self.step.as_micros()) as usize;
-        let mut buckets: Vec<Vec<f64>> = vec![Vec::new(); slots_per_day];
-        for (t, v) in self.iter() {
-            if day_filter(t.weekday()) {
-                let slot = (t.time_of_day().as_micros() / self.step.as_micros()) as usize;
-                buckets[slot % slots_per_day].push(v);
-            }
-        }
-        buckets
-    }
-
-    /// Per-day-slot aggregate (e.g. median) over selected weekdays; slots with
-    /// no samples yield `f64::NAN`.
-    pub fn daily_profile<F: Fn(Weekday) -> bool, A: Fn(&[f64]) -> f64>(
-        &self,
-        day_filter: F,
-        aggregate: A,
-    ) -> Vec<f64> {
-        self.group_by_time_of_day(day_filter)
-            .iter()
-            .map(|b| if b.is_empty() { f64::NAN } else { aggregate(b) })
-            .collect()
     }
 
     /// Mean of all samples.
@@ -250,11 +224,127 @@ impl TimeSeries {
     /// # Panics
     /// Panics if the series is empty.
     pub fn max(&self) -> f64 {
+        SeriesWindow::from(self).max()
+    }
+}
+
+/// A borrowed run of consecutive samples with their timing — what a
+/// read-only consumer (template training) takes, so that a training window
+/// need not be copied out of its trace. Built by [`TimeSeries::window`],
+/// or over a whole series with `SeriesWindow::from(&series)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SeriesWindow<'a> {
+    start: SimTime,
+    step: SimDuration,
+    values: &'a [f64],
+}
+
+impl<'a> From<&'a TimeSeries> for SeriesWindow<'a> {
+    fn from(series: &'a TimeSeries) -> SeriesWindow<'a> {
+        SeriesWindow {
+            start: series.start,
+            step: series.step,
+            values: &series.values,
+        }
+    }
+}
+
+impl<'a> SeriesWindow<'a> {
+    /// First sample's timestamp.
+    pub fn start(&self) -> SimTime {
+        self.start
+    }
+
+    /// Sampling interval.
+    pub fn step(&self) -> SimDuration {
+        self.step
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `true` when the window holds no samples.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The raw sample values.
+    pub fn values(&self) -> &'a [f64] {
+        self.values
+    }
+
+    /// Timestamp of sample `i`.
+    pub fn time_at_index(&self, i: usize) -> SimTime {
+        self.start + self.step * i as u64
+    }
+
+    /// Apply a function to every value, producing an owned series.
+    pub fn map<F: FnMut(f64) -> f64>(&self, f: F) -> TimeSeries {
+        TimeSeries {
+            start: self.start,
+            step: self.step,
+            values: self.values.iter().copied().map(f).collect(),
+        }
+    }
+
+    /// Maximum sample.
+    ///
+    /// # Panics
+    /// Panics if the window is empty.
+    pub fn max(&self) -> f64 {
         assert!(!self.values.is_empty(), "max of an empty series");
         self.values
             .iter()
             .cloned()
             .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// Per-day-slot aggregate (e.g. median) over selected weekdays; slots
+    /// with no samples yield `f64::NAN`.
+    ///
+    /// Slot `i` aggregates, in time order, every sample whose time of day
+    /// falls in the day's `i`-th step and whose weekday passes `day_filter`.
+    /// This is the aggregation behind the paper's *DailyMed*/*DailyMax*
+    /// templates ("the template's value at 9AM is the median of rack's power
+    /// consumption at 9AM across all five weekdays", §IV-B).
+    ///
+    /// # Panics
+    /// Panics if the step does not divide a day evenly.
+    pub fn daily_profile<F: Fn(Weekday) -> bool, A: Fn(&[f64]) -> f64>(
+        &self,
+        day_filter: F,
+        aggregate: A,
+    ) -> Vec<f64> {
+        let step = self.step.as_micros();
+        assert!(
+            SimDuration::DAY.as_micros().is_multiple_of(step),
+            "step must divide a day evenly"
+        );
+        let slots_per_day = (SimDuration::DAY.as_micros() / step) as usize;
+        // Sample `i` lies in day slot `(first_slot + i) % slots_per_day`, so
+        // a slot's samples are every `slots_per_day`-th one, gathered into
+        // one buffer reused from slot to slot.
+        let first_slot = (self.start.time_of_day().as_micros() / step) as usize;
+        let mut bucket = Vec::with_capacity(self.values.len().div_ceil(slots_per_day));
+        (0..slots_per_day)
+            .map(|slot| {
+                bucket.clear();
+                let first = (slot + slots_per_day - first_slot) % slots_per_day;
+                let samples = self.values.iter().enumerate().skip(first);
+                for (i, &v) in samples.step_by(slots_per_day) {
+                    if day_filter(self.time_at_index(i).weekday()) {
+                        bucket.push(v);
+                    }
+                }
+                if bucket.is_empty() {
+                    f64::NAN
+                } else {
+                    aggregate(&bucket)
+                }
+            })
+            .collect()
     }
 }
 
@@ -308,20 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn group_by_time_of_day_buckets_by_slot() {
-        // Two days of hourly samples; value = hour-of-day + 100*day.
-        let ts = TimeSeries::generate(
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_days(2),
-            SimDuration::HOUR,
-            |t| t.time_of_day().as_hours_f64() + 100.0 * t.day_index() as f64,
-        );
-        let buckets = ts.group_by_time_of_day(|_| true);
-        assert_eq!(buckets.len(), 24);
-        assert_eq!(buckets[3], vec![3.0, 103.0]); // 3AM Mon, 3AM Tue
-    }
-
-    #[test]
     fn daily_profile_respects_day_filter() {
         // One full week of daily-constant values: value = day index.
         let ts = TimeSeries::generate(
@@ -330,10 +406,11 @@ mod tests {
             SimDuration::HOUR,
             |t| t.day_index() as f64,
         );
-        let weekday_profile = ts.daily_profile(|d| !d.is_weekend(), mean);
+        let week = SeriesWindow::from(&ts);
+        let weekday_profile = week.daily_profile(|d| !d.is_weekend(), mean);
         // Weekdays are day indices 0..5 → mean 2.0 in every slot.
         assert!(weekday_profile.iter().all(|&v| (v - 2.0).abs() < 1e-12));
-        let weekend_profile = ts.daily_profile(|d| d.is_weekend(), mean);
+        let weekend_profile = week.daily_profile(|d| d.is_weekend(), mean);
         assert!(weekend_profile.iter().all(|&v| (v - 5.5).abs() < 1e-12));
     }
 

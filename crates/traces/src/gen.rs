@@ -17,7 +17,9 @@
 //!   utilization spread of Fig. 5.
 
 use crate::fleet::{CpuGeneration, FleetTrace, RackTrace, ServerTrace};
-use crate::services::{background_service, service_a, service_b, service_c, ServiceProfile};
+use crate::services::{
+    background_catalog_len, background_service, service_a, service_b, service_c, ServiceProfile,
+};
 use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
@@ -138,11 +140,26 @@ impl FleetConfig {
     }
 }
 
+/// A catalog service with its weekday peak, both built once per generator.
+#[derive(Debug, Clone)]
+struct Service {
+    profile: ServiceProfile,
+    /// `profile.shape.weekday_peak()`, floored away from zero.
+    peak: f64,
+}
+
+impl Service {
+    fn new(profile: ServiceProfile) -> Service {
+        let peak = profile.shape.weekday_peak().max(1e-6);
+        Service { profile, peak }
+    }
+}
+
 /// One VM placed on a generated server.
 #[derive(Debug, Clone)]
-struct VmSpec {
+struct Vm<'s> {
     cores: usize,
-    profile: ServiceProfile,
+    service: &'s Service,
     /// Per-VM load multiplier (instances of the same service differ).
     load_scale: f64,
     /// Phase offset applied to the shape (minutes) — different tenants of the
@@ -150,11 +167,23 @@ struct VmSpec {
     phase: SimDuration,
     /// Trigger utilization above which this VM requests overclocking.
     oc_trigger: f64,
-    /// When this VM is retired and replaced (churn), if ever.
-    replaced_at: Option<SimTime>,
-    /// The replacement VM's behaviour after churn (boxed to keep the spec
-    /// small; at most one replacement per slot per trace).
-    replacement: Option<Box<VmSpec>>,
+}
+
+impl Vm<'_> {
+    /// The VM's noise-free load at `t`: its service's shape, shifted by the
+    /// VM's phase and scaled by its load multiplier.
+    fn base_load(&self, t: SimTime) -> f64 {
+        self.service.profile.shape.utilization(t + self.phase) * self.load_scale
+    }
+}
+
+/// One VM slot of a server: the VM placed at the start, and — under churn —
+/// the instant it is retired and the VM that replaces it (at most one
+/// replacement per slot per trace).
+#[derive(Debug, Clone)]
+struct VmSlot<'s> {
+    vm: Vm<'s>,
+    churn: Option<(SimTime, Vm<'s>)>,
 }
 
 /// Deterministic synthetic trace generator.
@@ -171,6 +200,8 @@ struct VmSpec {
 pub struct TraceGenerator {
     seed: u64,
     model: PowerModel,
+    /// Services A, B and C, then the background catalog in index order.
+    services: Vec<Service>,
 }
 
 impl TraceGenerator {
@@ -178,9 +209,16 @@ impl TraceGenerator {
     /// AMD-generation racks; Intel racks use
     /// [`PowerModel::intel_reference_server`]).
     pub fn new(seed: u64) -> TraceGenerator {
+        let headline = [service_a(), service_b(), service_c()];
+        let background = (0..background_catalog_len()).map(background_service);
         TraceGenerator {
             seed,
             model: PowerModel::reference_server(),
+            services: headline
+                .into_iter()
+                .chain(background)
+                .map(Service::new)
+                .collect(),
         }
     }
 
@@ -211,6 +249,9 @@ impl TraceGenerator {
     /// Generate a single rack (rack `rack_idx` of the fleet `config`
     /// describes). Deterministic: the same `(seed, region, rack_idx)` always
     /// produces the same rack regardless of which other racks are generated.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid.
     pub fn generate_rack(&self, config: &FleetConfig, rack_idx: usize) -> RackTrace {
         config.validate();
         let mut rng = Pcg32::new(
@@ -244,41 +285,44 @@ impl TraceGenerator {
             .map(|_| rack_rng.gen_bool(config.outlier_day_prob))
             .collect();
 
-        let mut server_traces = Vec::with_capacity(n_servers);
-        let mut rack_power: Option<Vec<f64>> = None;
-        let mut peak_sum = Watts::ZERO;
+        let mut server_traces = Vec::with_capacity(if config.keep_server_series {
+            n_servers
+        } else {
+            0
+        });
+        // Power is positive, so summing onto zeros gives the same bits as
+        // seeding the sum with the first server's series.
+        let mut rack_power = vec![0.0; sample_count(config)];
+        let mut tables = ShapeTables::new(config);
 
         for server_idx in 0..n_servers {
             let mut srv_rng = rack_rng.fork(server_idx as u64 + 101);
-            let vms = self.place_vms(&model, config, &mut srv_rng);
-            let (util, power, oc_cores) =
-                self.simulate_server(&model, config, &vms, &outlier_days, &mut srv_rng);
+            let slots = self.place_vms(&model, config, &mut srv_rng);
+            let [util, power, oc_cores] = simulate_server(
+                &model,
+                config,
+                &slots,
+                &outlier_days,
+                &mut tables,
+                &mut srv_rng,
+            );
 
-            peak_sum += Watts::new(power.max());
-            match &mut rack_power {
-                None => rack_power = Some(power.values().to_vec()),
-                Some(acc) => {
-                    for (a, p) in acc.iter_mut().zip(power.values()) {
-                        *a += p;
-                    }
-                }
+            for (a, p) in rack_power.iter_mut().zip(&power) {
+                *a += p;
             }
             if config.keep_server_series {
+                let series = |values| TimeSeries::from_values(SimTime::ZERO, config.step, values);
                 server_traces.push(ServerTrace {
                     index: server_idx,
-                    utilization: util,
-                    power,
-                    oc_demand_cores: oc_cores,
+                    utilization: series(util),
+                    power: series(power),
+                    oc_demand_cores: series(oc_cores),
                 });
             }
         }
 
         let oversub = rack_rng.gen_range_f64(config.oversubscription.0, config.oversubscription.1);
-        let power = TimeSeries::from_values(
-            SimTime::ZERO,
-            config.step,
-            rack_power.expect("rack has at least one server"),
-        );
+        let power = TimeSeries::from_values(SimTime::ZERO, config.step, rack_power);
         // The limit is the nameplate (full-load) capacity divided by the
         // oversubscription ratio, floored a hair above the observed baseline
         // peak: the baseline (non-overclocked) rack never caps on its own —
@@ -286,7 +330,6 @@ impl TraceGenerator {
         // (Fig. 6).
         let nameplate = model.server_power_uniform(1.0, model.plan().turbo()) * n_servers as f64;
         let limit = (nameplate / oversub).max(Watts::new(power.max() * 1.02));
-        let _ = peak_sum;
         RackTrace {
             index: rack_idx,
             generation,
@@ -297,121 +340,231 @@ impl TraceGenerator {
     }
 
     /// Fill a server with VMs (2-8 cores each) up to 55-95 % of its cores.
-    fn place_vms(&self, model: &PowerModel, config: &FleetConfig, rng: &mut Pcg32) -> Vec<VmSpec> {
+    fn place_vms(
+        &self,
+        model: &PowerModel,
+        config: &FleetConfig,
+        rng: &mut Pcg32,
+    ) -> Vec<VmSlot<'_>> {
         let total_cores = model.cores();
         let fill_target = (total_cores as f64 * rng.gen_range_f64(0.55, 0.95)) as usize;
         let mut allocated = 0;
-        let mut vms = Vec::new();
+        let mut slots = Vec::new();
         while allocated < fill_target {
             let cores = rng.gen_range_u64(2, 9) as usize;
             let cores = cores.min(total_cores - allocated);
             let wants_oc = rng.gen_bool(config.oc_core_fraction);
-            let profile = if wants_oc {
-                match rng.gen_index(3) {
-                    0 => service_a(),
-                    1 => service_b(),
-                    _ => service_c(),
-                }
+            let service = if wants_oc {
+                self.headline_service(rng.gen_index(3))
             } else {
-                background_service(rng.gen_index(crate::services::background_catalog_len()))
+                self.background_service(rng.gen_index(background_catalog_len()))
             };
-            let spec = self.make_vm(config, cores, profile, rng);
-            vms.push(spec);
+            slots.push(self.make_vm(config, cores, service, rng));
             allocated += cores;
         }
-        vms
+        slots
     }
 
-    fn make_vm(
-        &self,
+    /// Headline service `i` (0 = A, 1 = B, otherwise C).
+    fn headline_service(&self, i: usize) -> &Service {
+        &self.services[i.min(2)]
+    }
+
+    /// Background service `i` of the catalog.
+    fn background_service(&self, i: usize) -> &Service {
+        &self.services[3 + i % background_catalog_len()]
+    }
+
+    fn make_vm<'s>(
+        &'s self,
         config: &FleetConfig,
         cores: usize,
-        profile: ServiceProfile,
+        service: &'s Service,
         rng: &mut Pcg32,
-    ) -> VmSpec {
-        let peak = profile.shape.weekday_peak().max(1e-6);
+    ) -> VmSlot<'s> {
         let load_scale = rng.gen_range_f64(0.55, 1.15);
         // VM churn: with the configured weekly probability, this VM is
         // retired at a uniformly random instant and replaced by a fresh VM
         // running a background service.
         let weeks = config.span.as_days_f64() / 7.0;
         let churns = rng.gen_bool(1.0 - (1.0 - config.vm_churn_weekly).powf(weeks));
-        let (replaced_at, replacement) = if churns {
+        let churn = if churns {
             let at = SimTime::from_micros(rng.gen_range_u64(1, config.span.as_micros().max(2)));
-            let new_profile =
-                background_service(rng.gen_index(crate::services::background_catalog_len()));
-            let new_peak = new_profile.shape.weekday_peak().max(1e-6);
+            let new_service = self.background_service(rng.gen_index(background_catalog_len()));
             let new_scale = rng.gen_range_f64(0.55, 1.15);
-            let repl = VmSpec {
+            let replacement = Vm {
                 cores,
-                oc_trigger: 0.75 * new_peak * new_scale.min(1.0),
-                profile: new_profile,
+                service: new_service,
                 load_scale: new_scale,
                 phase: SimDuration::from_minutes(rng.gen_range_u64(0, 30)),
-                replaced_at: None,
-                replacement: None,
+                oc_trigger: 0.75 * new_service.peak * new_scale.min(1.0),
             };
-            (Some(at), Some(Box::new(repl)))
+            Some((at, replacement))
         } else {
-            (None, None)
+            None
         };
-        VmSpec {
+        let vm = Vm {
             cores,
-            // Request overclocking once above ~75% of this VM's own peak
-            // (trigger thresholds are tuned per deployment, §IV-A).
-            oc_trigger: 0.75 * peak * load_scale.min(1.0),
-            profile,
+            service,
             load_scale,
             phase: SimDuration::from_minutes(rng.gen_range_u64(0, 30)),
-            replaced_at,
-            replacement,
+            // Request overclocking once above ~75% of this VM's own peak
+            // (trigger thresholds are tuned per deployment, §IV-A).
+            oc_trigger: 0.75 * service.peak * load_scale.min(1.0),
+        };
+        VmSlot { vm, churn }
+    }
+}
+
+/// Week-periodic base-load tables of one server's VMs, reused from server
+/// to server within a rack.
+///
+/// Column `c` holds `vm.base_load(t)` for the first `period` steps of the
+/// trace. Every load shape is a function of the time of week alone, so
+/// when the step divides a week, step `k`'s base load is exactly the
+/// column's slot `k % period` with `period` the steps per week. The table
+/// then costs one week of shape evaluations per VM instead of one per step
+/// of the span. When the step does not divide a week, or the trace is
+/// shorter than one, `period` is the trace length and slot `k` is step `k`
+/// itself.
+struct ShapeTables {
+    step: SimDuration,
+    period: usize,
+    values: Vec<f64>,
+}
+
+impl ShapeTables {
+    fn new(config: &FleetConfig) -> ShapeTables {
+        let steps = sample_count(config);
+        let week = SimDuration::WEEK.as_micros();
+        let step = config.step.as_micros();
+        let period = if week.is_multiple_of(step) {
+            steps.min((week / step) as usize)
+        } else {
+            steps
+        };
+        ShapeTables {
+            step: config.step,
+            period,
+            values: Vec::new(),
         }
     }
 
-    fn simulate_server(
-        &self,
-        model: &PowerModel,
-        config: &FleetConfig,
-        vms: &[VmSpec],
-        outlier_days: &[bool],
-        rng: &mut Pcg32,
-    ) -> (TimeSeries, TimeSeries, TimeSeries) {
-        let total_cores = model.cores() as f64;
-        let turbo = model.plan().turbo();
-        let end = SimTime::ZERO + config.span;
-        let mut util = TimeSeries::new(SimTime::ZERO, config.step);
-        let mut power = TimeSeries::new(SimTime::ZERO, config.step);
-        let mut oc_cores = TimeSeries::new(SimTime::ZERO, config.step);
+    /// Append `vm`'s column; returns its offset into `values`.
+    fn push(&mut self, vm: &Vm<'_>) -> usize {
+        let offset = self.values.len();
+        let step = self.step;
+        self.values
+            .extend((0..self.period as u64).map(|j| vm.base_load(SimTime::ZERO + step * j)));
+        offset
+    }
+}
 
-        for t in simcore::time::ticks(SimTime::ZERO, end, config.step) {
-            let day = t.day_index() as usize;
-            let outlier_scale = if outlier_days.get(day).copied().unwrap_or(false) {
+/// One VM slot as the step loop reads it: the placed VM and its table
+/// column up to step `switch_at`, the replacement and its column from then
+/// on (the same pair again when the slot never churns).
+struct Lane<'v, 's> {
+    before: (&'v Vm<'s>, usize),
+    after: (&'v Vm<'s>, usize),
+    switch_at: usize,
+}
+
+/// Number of samples a trace of `config` holds: one per step in
+/// `[0, span)`.
+fn sample_count(config: &FleetConfig) -> usize {
+    config.span.as_micros().div_ceil(config.step.as_micros()) as usize
+}
+
+/// Simulate one server's utilization, power and overclock-demand series.
+///
+/// Draws one standard normal per VM slot per step, in slot order — the
+/// order every seed's traces are pinned to.
+fn simulate_server(
+    model: &PowerModel,
+    config: &FleetConfig,
+    slots: &[VmSlot<'_>],
+    outlier_days: &[bool],
+    tables: &mut ShapeTables,
+    rng: &mut Pcg32,
+) -> [Vec<f64>; 3] {
+    let total_cores = model.cores() as f64;
+    let turbo = model.plan().turbo();
+    let steps = sample_count(config);
+    let step = config.step.as_micros();
+
+    tables.values.clear();
+    let lanes: Vec<Lane<'_, '_>> = slots
+        .iter()
+        .map(|slot| {
+            let before = (&slot.vm, tables.push(&slot.vm));
+            match &slot.churn {
+                // `t >= at` first holds at step `ceil(at / step)`.
+                Some((at, replacement)) => {
+                    let switch_at = at.as_micros().div_ceil(step) as usize;
+                    let after = if switch_at < steps {
+                        (replacement, tables.push(replacement))
+                    } else {
+                        before
+                    };
+                    Lane {
+                        before,
+                        after,
+                        switch_at,
+                    }
+                }
+                None => Lane {
+                    before,
+                    after: before,
+                    switch_at: usize::MAX,
+                },
+            }
+        })
+        .collect();
+    let table = &tables.values[..];
+
+    let mut util = Vec::with_capacity(steps);
+    let mut power = Vec::with_capacity(steps);
+    let mut oc_cores = Vec::with_capacity(steps);
+    let mut outlier_scale = 1.0;
+    let mut next_midnight = SimTime::ZERO;
+    let mut slot = 0;
+    for (k, t) in
+        simcore::time::ticks(SimTime::ZERO, SimTime::ZERO + config.span, config.step).enumerate()
+    {
+        if t >= next_midnight {
+            let day = t.day_index();
+            outlier_scale = if outlier_days.get(day as usize).copied().unwrap_or(false) {
                 0.5
             } else {
                 1.0
             };
-            let mut busy_cores = 0.0;
-            let mut oc_demand = 0.0;
-            for slot in vms {
-                let vm: &VmSpec = match (slot.replaced_at, &slot.replacement) {
-                    (Some(at), Some(repl)) if t >= at => repl,
-                    _ => slot,
-                };
-                let base = vm.profile.shape.utilization(t + vm.phase);
-                let noise = 1.0 + vm.profile.noise_sigma * rng.sample_standard_normal();
-                let u = (base * vm.load_scale * noise * outlier_scale).clamp(0.0, 1.0);
-                busy_cores += u * vm.cores as f64;
-                if vm.profile.wants_overclock && u >= vm.oc_trigger {
-                    oc_demand += vm.cores as f64;
-                }
-            }
-            let server_util = (busy_cores / total_cores).clamp(0.0, 1.0);
-            util.push(server_util);
-            power.push(model.server_power_uniform(server_util, turbo).get());
-            oc_cores.push(oc_demand);
+            next_midnight = SimTime::ZERO + SimDuration::DAY * (day + 1);
         }
-        (util, power, oc_cores)
+        let mut busy_cores = 0.0;
+        let mut oc_demand = 0.0;
+        for lane in &lanes {
+            let (vm, column) = if k < lane.switch_at {
+                lane.before
+            } else {
+                lane.after
+            };
+            let noise = 1.0 + vm.service.profile.noise_sigma * rng.sample_standard_normal();
+            let u = (table[column + slot] * noise * outlier_scale).clamp(0.0, 1.0);
+            busy_cores += u * vm.cores as f64;
+            if vm.service.profile.wants_overclock && u >= vm.oc_trigger {
+                oc_demand += vm.cores as f64;
+            }
+        }
+        let server_util = (busy_cores / total_cores).clamp(0.0, 1.0);
+        util.push(server_util);
+        power.push(model.server_power_uniform(server_util, turbo).get());
+        oc_cores.push(oc_demand);
+        slot += 1;
+        if slot == tables.period {
+            slot = 0;
+        }
     }
+    [util, power, oc_cores]
 }
 
 fn region_stream(region: &str) -> u64 {

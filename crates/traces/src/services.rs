@@ -132,14 +132,14 @@ pub fn service_c() -> ServiceProfile {
 /// used to fill multi-tenant racks. Index `i` deterministically selects a
 /// profile; the population cycles after [`background_catalog_len`] entries.
 pub fn background_service(i: usize) -> ServiceProfile {
-    let variants: Vec<ServiceProfile> = vec![
-        ServiceProfile::new(
+    match i % background_catalog_len() {
+        0 => ServiceProfile::new(
             "web-frontend",
             LoadShape::office_hours(0.15, 0.7, 9.0, 18.0),
             0.05,
             false,
         ),
-        ServiceProfile::new(
+        1 => ServiceProfile::new(
             "batch-analytics",
             LoadShape::Diurnal {
                 base: 0.6,
@@ -151,19 +151,19 @@ pub fn background_service(i: usize) -> ServiceProfile {
             0.03,
             false,
         ),
-        ServiceProfile::new(
+        2 => ServiceProfile::new(
             "ml-training",
             LoadShape::Constant { level: 0.82 },
             0.02,
             false,
         ),
-        ServiceProfile::new(
+        3 => ServiceProfile::new(
             "search-index",
             LoadShape::office_hours(0.25, 0.6, 8.0, 20.0),
             0.06,
             false,
         ),
-        ServiceProfile::new(
+        4 => ServiceProfile::new(
             "video-stream",
             LoadShape::Diurnal {
                 base: 0.2,
@@ -175,13 +175,13 @@ pub fn background_service(i: usize) -> ServiceProfile {
             0.05,
             false,
         ),
-        ServiceProfile::new(
+        5 => ServiceProfile::new(
             "kv-store",
             LoadShape::office_hours(0.3, 0.55, 7.0, 22.0),
             0.04,
             false,
         ),
-        ServiceProfile::new(
+        6 => ServiceProfile::new(
             "report-gen",
             LoadShape::HourlySpike {
                 base: 0.1,
@@ -194,14 +194,14 @@ pub fn background_service(i: usize) -> ServiceProfile {
             0.05,
             false,
         ),
-        ServiceProfile::new(
+        7 => ServiceProfile::new(
             "ci-runners",
             LoadShape::office_hours(0.1, 0.65, 8.0, 19.0),
             0.09,
             false,
         ),
-        ServiceProfile::new("low-idle", LoadShape::Constant { level: 0.12 }, 0.03, false),
-        ServiceProfile::new(
+        8 => ServiceProfile::new("low-idle", LoadShape::Constant { level: 0.12 }, 0.03, false),
+        _ => ServiceProfile::new(
             "apac-frontend",
             LoadShape::Diurnal {
                 base: 0.15,
@@ -213,8 +213,7 @@ pub fn background_service(i: usize) -> ServiceProfile {
             0.05,
             false,
         ),
-    ];
-    variants[i % variants.len()].clone()
+    }
 }
 
 /// Number of distinct background profiles before the catalog repeats.
