@@ -1,5 +1,5 @@
-//! Micro-benchmarks of the hot paths: the event queue, the power model, the
-//! template build/predict pipeline, and one sOA control tick.
+//! Micro-benchmarks of the hot paths: the event queue, the power model, trace
+//! generation, the template build/predict pipeline, and one sOA control tick.
 //!
 //! These are the operations the per-server agent performs continuously in
 //! production; the paper stresses that an sOA "can start/stop overclocking
@@ -17,6 +17,7 @@ use smartoclock::soa::ServerOverclockAgent;
 use soc_power::model::PowerModel;
 use soc_power::units::{MegaHertz, Watts};
 use soc_predict::template::{PowerTemplate, TemplateKind};
+use soc_traces::gen::{FleetConfig, TraceGenerator};
 use std::hint::black_box;
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -58,6 +59,27 @@ fn week_history() -> TimeSeries {
         SimDuration::from_minutes(5),
         |t| 200.0 + 50.0 * (t.time_of_day().as_hours_f64() / 24.0 * std::f64::consts::TAU).sin(),
     )
+}
+
+/// One paper-shaped rack (24-32 servers, six weeks at 5-minute steps, with
+/// per-server series kept as the large-scale engine needs them): the
+/// generation kernel on its own. Divide by the rack's server-steps, printed
+/// alongside, for ns per server-step.
+fn bench_trace_gen(c: &mut Criterion) {
+    let config = FleetConfig {
+        keep_server_series: true,
+        ..FleetConfig::paper_reference(1)
+    };
+    let generator = TraceGenerator::new(42);
+    let rack = generator.generate_rack(&config, 0);
+    println!(
+        "trace_gen_paper_rack: {} servers x {} steps per iteration",
+        rack.servers.len(),
+        rack.power.len()
+    );
+    c.bench_function("trace_gen_paper_rack", |b| {
+        b.iter(|| black_box(generator.generate_rack(black_box(&config), 0)))
+    });
 }
 
 fn bench_templates(c: &mut Criterion) {
@@ -109,6 +131,7 @@ criterion_group!(
     benches,
     bench_event_queue,
     bench_power_model,
+    bench_trace_gen,
     bench_templates,
     bench_soa_tick
 );

@@ -285,11 +285,7 @@ impl TraceGenerator {
             .map(|_| rack_rng.gen_bool(config.outlier_day_prob))
             .collect();
 
-        let mut server_traces = Vec::with_capacity(if config.keep_server_series {
-            n_servers
-        } else {
-            0
-        });
+        let mut server_traces = Vec::with_capacity(n_servers);
         // Power is positive, so summing onto zeros gives the same bits as
         // seeding the sum with the first server's series.
         let mut rack_power = vec![0.0; sample_count(config)];
@@ -355,7 +351,8 @@ impl TraceGenerator {
             let cores = cores.min(total_cores - allocated);
             let wants_oc = rng.gen_bool(config.oc_core_fraction);
             let service = if wants_oc {
-                self.headline_service(rng.gen_index(3))
+                // Services A, B and C lead the catalog.
+                &self.services[rng.gen_index(3)]
             } else {
                 self.background_service(rng.gen_index(background_catalog_len()))
             };
@@ -363,11 +360,6 @@ impl TraceGenerator {
             allocated += cores;
         }
         slots
-    }
-
-    /// Headline service `i` (0 = A, 1 = B, otherwise C).
-    fn headline_service(&self, i: usize) -> &Service {
-        &self.services[i.min(2)]
     }
 
     /// Background service `i` of the catalog.
