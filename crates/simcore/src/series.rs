@@ -232,7 +232,7 @@ impl TimeSeries {
 /// read-only consumer (template training) takes, so that a training window
 /// need not be copied out of its trace. Built by [`TimeSeries::window`],
 /// or over a whole series with `SeriesWindow::from(&series)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct SeriesWindow<'a> {
     start: SimTime,
     step: SimDuration,
