@@ -1,7 +1,7 @@
 //! The wall-clock side of `soc_cluster::probe::ShardProbe`.
 //!
 //! The sharded simulation engine announces phases through pure hooks (it is
-//! a sim-state crate and may not read clocks, soc-lint D002); this adapter
+//! a sim-state crate and may not read clocks, D002 in `clippy.toml`); this adapter
 //! lives in the bench crate — where wall-clock is allowed — and times those
 //! hooks into a [`Profiler`].
 //!

@@ -36,18 +36,15 @@
 //!   simulations side by side.
 //! * [`probe`] — pure observation hooks ([`probe::ShardProbe`]) that let
 //!   bench binaries attach wall-clock phase timing to the sharded engine
-//!   without this crate ever reading a clock (soc-lint D002).
+//!   without this crate ever reading a clock (D002 in `clippy.toml`).
 //! * [`ageing`] — the overclocking policies of Fig. 7 (non-overclocked,
 //!   always-overclock, overclock-aware) evaluated over a utilization trace
 //!   with the `soc-reliability` wear model.
-//! * [`datacenter`] — extension: the §IV-C budget split applied recursively
-//!   at the datacenter level (flat vs. nested enforcement on a shared feed).
 
 #![forbid(unsafe_code)]
 
 pub mod ageing;
 pub mod columns;
-pub mod datacenter;
 pub mod envs;
 pub mod harness;
 pub mod largescale;

@@ -1,7 +1,7 @@
 //! Pure observation hooks for performance instrumentation.
 //!
 //! `soc_cluster` is a sim-state crate: wall-clock reads are forbidden here
-//! (soc-lint D002), because a clock read inside simulation code is one
+//! (D002 in the root `clippy.toml`), because a clock read inside simulation code is one
 //! accidental `if elapsed > ..` away from scheduler-dependent behaviour.
 //! Performance observability still wants to know how long the shard phases
 //! take — so the sharded engine accepts a [`ShardProbe`], a trait of *pure

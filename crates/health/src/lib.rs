@@ -15,7 +15,7 @@
 //!   `soc-analyze` causal chains.
 //!
 //! Like `soc-prof`, this crate lives strictly *outside* the deterministic
-//! simulation core. Sim-state crates never link it (soc-lint D002 enforces
+//! simulation core. Sim-state crates never link it (soc-lint A001 enforces
 //! the direction); instead the sharded engine exposes pure no-op observation
 //! hooks (`soc_cluster::probe::ShardProbe::{gauge, event}`) and bench
 //! binaries attach a [`Recorder`] behind them. A run with the recorder

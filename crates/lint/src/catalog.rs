@@ -35,7 +35,7 @@ impl fmt::Display for Category {
 
 /// Static description of one lint.
 pub struct LintInfo {
-    /// Stable id (`D001`); allowlist entries reference this.
+    /// Stable id (`D004`); allowlist entries reference this.
     pub id: &'static str,
     /// Short name for listings.
     pub name: &'static str,
@@ -80,66 +80,28 @@ pub const CATALOG: &[LintInfo] = &[
         example: "use helper::recorder; // helper itself uses soc_health",
     },
     LintInfo {
-        id: "D001",
-        name: "hash-collections-in-sim-state",
-        category: Category::Determinism,
-        summary: "HashMap/HashSet in a sim-state crate; use BTreeMap/BTreeSet",
-        rationale: "Hash iteration order is randomized per process, so any loop over a \
-                    hash collection in simulation state produces run-to-run differences \
-                    that break byte-identical traces (and with them `soc-analyze diff`).",
-        example: "use std::collections::HashMap;",
-    },
-    LintInfo {
-        id: "D002",
-        name: "wall-clock-in-sim-state",
-        category: Category::Determinism,
-        summary: "std::time::Instant/SystemTime in a sim-state crate; use simcore::time",
-        rationale: "Wall-clock reads smuggle host timing into simulation state; all sim \
-                    time must flow through SimTime so a seed fully determines a run. \
-                    (Linking the observability crates from sim-state is A001's job; \
-                    wall-clock reads laundered through helper crates are D006's.)",
-        example: "let t0 = std::time::Instant::now();",
-    },
-    LintInfo {
-        id: "D003",
-        name: "env-in-sim-state",
-        category: Category::Determinism,
-        summary: "std::env in a sim-state crate; configuration must be explicit",
-        rationale: "Environment lookups make behaviour depend on invisible host state; \
-                    sim crates take configuration as values so runs are reproducible \
-                    from their inputs alone (bench binaries are not sim-state crates \
-                    and may read the environment).",
-        example: "let mode = std::env::var(\"MODE\");",
-    },
-    LintInfo {
         id: "D004",
-        name: "external-rng-in-sim-state",
+        name: "external-nondeterminism-crate-in-sim-state",
         category: Category::Determinism,
-        summary: "rand/thread_rng in a sim-state crate; randomness only via simcore::rng::Pcg32",
+        summary: "rand/thread_rng/crossbeam in a sim-state crate; draw from simcore::rng::Pcg32, shard through simcore::par",
         rationale: "thread_rng and friends seed from the OS; every random draw in the sim \
-                    path must come from the run's seeded Pcg32 stream or replays diverge.",
+                    path must come from the run's seeded Pcg32 stream or replays diverge. \
+                    crossbeam channels deliver in scheduler order, which varies run to \
+                    run. Both are external crates, so this is a crate-use check: \
+                    clippy's disallowed lists cannot name a path that does not resolve, \
+                    which is why D004 stays here while the std-only determinism rules \
+                    (D001-D003, D005) live in the root clippy.toml.",
         example: "let x = rand::thread_rng().gen::<f64>();",
-    },
-    LintInfo {
-        id: "D005",
-        name: "raw-threading-in-sim-state",
-        category: Category::Determinism,
-        summary: "std::thread/channel use in a sim-state crate; shard work through simcore::par",
-        rationale: "Ad-hoc threads and channels interleave sim-state updates and telemetry in \
-                    scheduler order, which varies run to run and with core count; \
-                    simcore::par::par_map shards work deterministically and merges results \
-                    in canonical input order, so `--threads N` stays byte-identical to \
-                    `--threads 1`.",
-        example: "std::thread::spawn(move || sim.step());",
     },
     LintInfo {
         id: "D006",
         name: "laundered-nondeterminism",
         category: Category::Determinism,
         summary: "a sim-state call site reaches a wall-clock/env/rng source through a helper crate",
-        rationale: "D002–D004 flag non-deterministic sources written directly in \
-                    sim-state crates, but a helper crate in an allowed layer can wrap \
-                    `SystemTime::now()` in `now_ms()` and every file still lints clean. \
+        rationale: "clippy's D002/D003 rules and D004 flag non-deterministic sources \
+                    written directly in sim-state crates, but a helper crate in an \
+                    allowed layer can wrap `SystemTime::now()` in `now_ms()` and every \
+                    file still lints clean. \
                     D006 propagates taint from the sources backward along the workspace \
                     call graph and flags the sim-state call site, naming the full chain \
                     down to the source so the plumbing fix (pass SimTime/Pcg32 in) is \
@@ -260,10 +222,7 @@ mod tests {
 
     #[test]
     fn lookup() {
-        assert_eq!(
-            lint("D001").map(|l| l.name),
-            Some("hash-collections-in-sim-state")
-        );
+        assert_eq!(lint("R003").map(|l| l.name), Some("lossy-cast-on-quantity"));
         assert!(lint("Z999").is_none());
     }
 }

@@ -10,13 +10,13 @@
 use crate::config::Layers;
 use crate::graph::ident_names_crate;
 use crate::lexer::{Token, TokenKind};
-use crate::parser::{fn_params, struct_fields, FileModel};
+use crate::parser::{FileModel, FnItem};
 use crate::source::SourceFile;
 
 /// One lint violation at a source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Catalog id (`D001`).
+    /// Catalog id (`D004`).
     pub lint: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -33,8 +33,7 @@ pub fn check_file(src: &SourceFile, model: &FileModel, layers: &Layers) -> Vec<D
     let sim_state = layers.sim_state_crates().contains(src.crate_name.as_str());
     if sim_state {
         determinism_lints(src, &mut diags);
-        unit_lints(src, &mut diags);
-        unit_flow_lints(src, model, &mut diags);
+        unit_lints(src, model, &mut diags);
     }
     architecture_lints(src, model, layers, &mut diags);
     if !src.is_bin {
@@ -102,82 +101,33 @@ fn architecture_lints(
 
 // ---------------------------------------------------------------- D-lints --
 
-/// D001–D005 apply to the whole file, test code included: a flaky test from
-/// hash-order or wall-clock dependence costs the same debugging time as a
-/// flaky simulation. There are no hard-coded path carve-outs: the sanctioned
-/// threading home (`simcore::par`) holds a justified file-wide D005 waiver in
-/// `lint.toml` like any other exception.
+/// D004 applies to the whole file, test code included: a flaky test from an
+/// OS-seeded draw costs the same debugging time as a flaky simulation. It is
+/// a crate-use check, which clippy's type-resolved lists cannot express (an
+/// unresolvable `rand::…` path is silently accepted there). The
+/// type-resolvable determinism rules — hash collections (D001), wall clock
+/// (D002), environment (D003) and std threads/channels (D005) — live in the
+/// root `clippy.toml` instead.
 fn determinism_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
     let toks = &src.tokens;
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokenKind::Ident {
             continue;
         }
-        match t.text.as_str() {
-            "HashMap" | "HashSet" => push(
-                diags,
-                src,
-                "D001",
-                t.line,
-                format!("{} in sim-state crate `{}`; hash iteration order is per-process random — use BTreeMap/BTreeSet", t.text, src.crate_name),
-            ),
-            "Instant" | "SystemTime" => push(
-                diags,
-                src,
-                "D002",
-                t.line,
-                format!("std::time::{} reads the wall clock; sim time must come from simcore::time::SimTime", t.text),
-            ),
-            "env" if path_prefix(toks, i, "std") => push(
-                diags,
-                src,
-                "D003",
-                t.line,
-                "std::env read in sim-state crate; pass configuration explicitly".to_string(),
-            ),
-            "thread_rng" => push(
-                diags,
-                src,
-                "D004",
-                t.line,
-                "thread_rng seeds from the OS; draw from the run's simcore::rng::Pcg32 stream".to_string(),
-            ),
-            "rand" if is_crate_use(toks, i) => push(
-                diags,
-                src,
-                "D004",
-                t.line,
-                "the `rand` crate is non-deterministic across versions and platforms; use simcore::rng::Pcg32".to_string(),
-            ),
-            "thread" if path_prefix(toks, i, "std") => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "std::thread in sim-state crate; scheduler interleaving varies per run — shard through simcore::par::par_map".to_string(),
-            ),
-            "mpsc" => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "channel use in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
-            ),
-            "crossbeam" if is_crate_use(toks, i) => push(
-                diags,
-                src,
-                "D005",
-                t.line,
-                "crossbeam channels in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map".to_string(),
-            ),
-            _ => {}
-        }
+        let msg = match t.text.as_str() {
+            "thread_rng" => {
+                "thread_rng seeds from the OS; draw from the run's simcore::rng::Pcg32 stream"
+            }
+            "rand" if is_crate_use(toks, i) => {
+                "the `rand` crate is non-deterministic across versions and platforms; use simcore::rng::Pcg32"
+            }
+            "crossbeam" if is_crate_use(toks, i) => {
+                "crossbeam channels in sim-state crate; message arrival order is scheduler-dependent — shard through simcore::par::par_map"
+            }
+            _ => continue,
+        };
+        push(diags, src, "D004", t.line, msg.to_string());
     }
-}
-
-/// Is token `i` the segment right after `prefix ::`?
-pub(crate) fn path_prefix(toks: &[Token], i: usize, prefix: &str) -> bool {
-    i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident(prefix)
 }
 
 /// Is the identifier at `i` used as an external crate path root
@@ -235,31 +185,21 @@ const NUMERIC_TYPES: &[&str] = &[
     "isize",
 ];
 
-/// U001/U002 on `fn` parameters and U003 on struct fields. Test code is
-/// scanned too: a test helper taking `watts: f64` reintroduces the exact
-/// call-site ambiguity the newtypes exist to remove.
-fn unit_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
-    let toks = &src.tokens;
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("fn") {
-            if let Some((params, end)) = fn_params(toks, i) {
-                for (name, line, ty) in params {
-                    check_quantity(src, diags, "parameter", &name, line, &ty, true);
-                }
-                i = end;
-                continue;
-            }
-        } else if toks[i].is_ident("struct") {
-            if let Some((fields, _, _, end)) = struct_fields(toks, i) {
-                for (name, line, ty) in fields {
-                    check_quantity(src, diags, "field", &name, line, &ty, false);
-                }
-                i = end;
-                continue;
-            }
+/// U001/U002 on `fn` parameters, U003 on struct fields and U004 on `pub fn`
+/// returns, read from the parsed [`FileModel`]. Test code is checked too: a
+/// test helper taking `watts: f64` reintroduces the exact call-site
+/// ambiguity the newtypes exist to remove.
+fn unit_lints(src: &SourceFile, model: &FileModel, diags: &mut Vec<Diagnostic>) {
+    for f in &model.fns {
+        for (name, line, ty) in &f.params {
+            check_quantity(src, diags, "parameter", name, *line, ty, true);
         }
-        i += 1;
+        if f.is_pub {
+            unit_return(src, f, diags);
+        }
+    }
+    for (name, line, ty) in &model.fields {
+        check_quantity(src, diags, "field", name, *line, ty, false);
     }
 }
 
@@ -309,27 +249,22 @@ fn check_quantity(
 /// U004: a unit-suffixed `pub fn` (`*_w`, `*watt*`, `*mhz*`) returning a
 /// bare raw number leaks an unlabeled physical quantity out of the crate's
 /// API — the return-side twin of U001/U002, which cover the parameters.
-fn unit_flow_lints(src: &SourceFile, model: &FileModel, diags: &mut Vec<Diagnostic>) {
-    for f in &model.fns {
-        if !f.is_pub {
-            continue;
-        }
-        let [only] = &f.ret[..] else { continue };
-        let power = is_power_name(&f.name) && FLOAT_TYPES.contains(&only.text.as_str());
-        let freq = is_freq_name(&f.name) && NUMERIC_TYPES.contains(&only.text.as_str());
-        if power || freq {
-            let newtype = if power { "Watts" } else { "MegaHertz" };
-            push(
-                diags,
-                src,
-                "U004",
-                f.line,
-                format!(
-                    "unit-named pub fn `{}` returns raw `{}`; return soc_power::units::{newtype}",
-                    f.name, only.text
-                ),
-            );
-        }
+fn unit_return(src: &SourceFile, f: &FnItem, diags: &mut Vec<Diagnostic>) {
+    let [only] = &f.ret[..] else { return };
+    let power = is_power_name(&f.name) && FLOAT_TYPES.contains(&only.text.as_str());
+    let freq = is_freq_name(&f.name) && NUMERIC_TYPES.contains(&only.text.as_str());
+    if power || freq {
+        let newtype = if power { "Watts" } else { "MegaHertz" };
+        push(
+            diags,
+            src,
+            "U004",
+            f.line,
+            format!(
+                "unit-named pub fn `{}` returns raw `{}`; return soc_power::units::{newtype}",
+                f.name, only.text
+            ),
+        );
     }
 }
 
@@ -346,6 +281,59 @@ fn is_time_name(name: &str) -> bool {
         || name.contains("secs")
 }
 
+/// An unwrap/expect/panic-family call: the token patterns R001/R002 flag
+/// where they are written and R004 seeds its call-graph walk from.
+#[derive(Clone, Copy)]
+pub(crate) enum PanicCall {
+    Unwrap,
+    Expect,
+    /// `panic!`, `todo!` or `unimplemented!`.
+    Macro,
+}
+
+impl PanicCall {
+    /// The lint that flags this site, and whose `lint.toml` waiver covers it.
+    pub(crate) fn lint(self) -> &'static str {
+        match self {
+            PanicCall::Unwrap | PanicCall::Expect => "R001",
+            PanicCall::Macro => "R002",
+        }
+    }
+
+    pub(crate) fn desc(self) -> &'static str {
+        match self {
+            PanicCall::Unwrap => ".unwrap()",
+            PanicCall::Expect => ".expect(\"…\")",
+            PanicCall::Macro => "a panic!-family macro",
+        }
+    }
+}
+
+/// Is token `i` a panicking call? `.unwrap()` only with no argument, and
+/// `.expect("…")` only with a string message — a non-string argument means
+/// an ordinary method that happens to be named expect (the JSON parser has
+/// one).
+pub(crate) fn panic_call(toks: &[Token], i: usize) -> Option<PanicCall> {
+    let t = &toks[i];
+    if t.kind != TokenKind::Ident {
+        return None;
+    }
+    let method_call = |arg: fn(&Token) -> bool| {
+        i >= 1
+            && toks[i - 1].is_punct(".")
+            && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
+            && toks.get(i + 2).is_some_and(arg)
+    };
+    match t.text.as_str() {
+        "unwrap" if method_call(|n| n.is_punct(")")) => Some(PanicCall::Unwrap),
+        "expect" if method_call(|n| n.text == "\"…\"") => Some(PanicCall::Expect),
+        "panic" | "todo" | "unimplemented" if toks.get(i + 1).is_some_and(|n| n.is_punct("!")) => {
+            Some(PanicCall::Macro)
+        }
+        _ => None,
+    }
+}
+
 /// R001–R003 on non-test tokens.
 fn robustness_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
     let toks = &src.tokens;
@@ -353,53 +341,28 @@ fn robustness_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
         if t.kind != TokenKind::Ident || src.in_test[i] {
             continue;
         }
-        match t.text.as_str() {
-            // `.unwrap()` with no argument; `.expect("…")` only with a string
-            // message — a non-string argument means an ordinary method that
-            // happens to be named expect (the JSON parser has one).
-            "unwrap"
-                if i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(")")) =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R001",
-                    t.line,
-                    ".unwrap() in library code; return a Result or justify the invariant in lint.toml".to_string(),
-                );
-            }
-            "expect"
-                if i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.text == "\"…\"") =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R001",
-                    t.line,
-                    ".expect(\"…\") in library code; return a Result or justify the invariant in lint.toml".to_string(),
-                );
-            }
-            "panic" | "todo" | "unimplemented"
-                if toks.get(i + 1).is_some_and(|n| n.is_punct("!")) =>
-            {
-                push(
-                    diags,
-                    src,
-                    "R002",
-                    t.line,
-                    format!(
-                        "{}! in library code; encode the invariant or return an error",
-                        t.text
-                    ),
-                );
-            }
-            name if (is_time_name(name) || is_power_name(name))
+        match panic_call(toks, i) {
+            Some(PanicCall::Macro) => push(
+                diags,
+                src,
+                "R002",
+                t.line,
+                format!(
+                    "{}! in library code; encode the invariant or return an error",
+                    t.text
+                ),
+            ),
+            Some(call) => push(
+                diags,
+                src,
+                call.lint(),
+                t.line,
+                format!(
+                    "{} in library code; return a Result or justify the invariant in lint.toml",
+                    call.desc()
+                ),
+            ),
+            None if (is_time_name(&t.text) || is_power_name(&t.text))
                 && toks.get(i + 1).is_some_and(|n| n.is_ident("as"))
                 && toks
                     .get(i + 2)
@@ -410,10 +373,14 @@ fn robustness_lints(src: &SourceFile, diags: &mut Vec<Diagnostic>) {
                     src,
                     "R003",
                     t.line,
-                    format!("`{} as {}` truncates a physical quantity; use an explicit rounding conversion", name, toks[i + 2].text),
+                    format!(
+                        "`{} as {}` truncates a physical quantity; use an explicit rounding conversion",
+                        t.text,
+                        toks[i + 2].text
+                    ),
                 );
             }
-            _ => {}
+            None => {}
         }
     }
 }
@@ -435,35 +402,6 @@ mod tests {
 
     fn sim(src: &str) -> Vec<(String, u32)> {
         lint_src("power", "crates/power/src/x.rs", src)
-    }
-
-    #[test]
-    fn d001_hash_collections() {
-        assert_eq!(
-            sim("use std::collections::HashMap;"),
-            [("D001".to_string(), 1)]
-        );
-        assert_eq!(
-            sim("let s: HashSet<u32> = HashSet::new();"),
-            [("D001".to_string(), 1)]
-        );
-        assert!(sim("use std::collections::BTreeMap;").is_empty());
-        // Non-sim crate: no D-lint.
-        assert!(lint_src(
-            "analyze",
-            "crates/analyze/src/x.rs",
-            "use std::collections::HashMap;"
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn d002_wall_clock() {
-        assert_eq!(sim("let t = Instant::now();"), [("D002".to_string(), 1)]);
-        assert_eq!(
-            sim("let t = std::time::SystemTime::now();"),
-            [("D002".to_string(), 1)]
-        );
     }
 
     #[test]
@@ -503,16 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn d003_env_needs_std_prefix() {
-        assert_eq!(
-            sim("let v = std::env::var(\"X\");"),
-            [("D003".to_string(), 1)]
-        );
-        // A local module named env is not std::env.
-        assert!(sim("let v = config::env::var();").is_empty());
-    }
-
-    #[test]
     fn d004_rand() {
         assert_eq!(
             sim("let r = rand::thread_rng();"),
@@ -523,35 +451,15 @@ mod tests {
         assert!(sim("use simcore::rng::Pcg32;").is_empty());
         // A field access named rand is fine.
         assert!(sim("let x = cfg.rand;").is_empty());
-    }
-
-    #[test]
-    fn d005_raw_threading() {
-        assert_eq!(sim("use std::thread;"), [("D005".to_string(), 1)]);
-        assert_eq!(
-            sim("std::thread::spawn(|| step());"),
-            [("D005".to_string(), 1)]
-        );
-        assert_eq!(sim("use std::sync::mpsc;"), [("D005".to_string(), 1)]);
+        // crossbeam is an external crate too; a local module of that name
+        // is not.
         assert_eq!(
             sim("use crossbeam::channel::bounded;"),
-            [("D005".to_string(), 1)]
+            [("D004".to_string(), 1)]
         );
-        // No hard-coded carve-out anymore: the par abstraction flags like any
-        // other sim-state file and holds a justified waiver in lint.toml.
-        assert_eq!(
-            lint_src(
-                "simcore",
-                "crates/simcore/src/par.rs",
-                "use std::thread;\nstd::thread::scope(|s| s);"
-            ),
-            [("D005".to_string(), 1), ("D005".to_string(), 2)]
-        );
-        // A local module or field named thread is not std::thread.
-        assert!(sim("let t = pool.thread;").is_empty());
-        assert!(sim("runtime::thread::park();").is_empty());
-        // Non-sim crates may thread freely.
-        assert!(lint_src("analyze", "crates/analyze/src/x.rs", "use std::thread;").is_empty());
+        assert!(sim("let q = sync::crossbeam::queue();").is_empty());
+        // Non-sim crates may use them freely.
+        assert!(lint_src("analyze", "crates/analyze/src/x.rs", "use rand::Rng;").is_empty());
     }
 
     #[test]
@@ -670,8 +578,7 @@ mod tests {
 
     #[test]
     fn emitted_ids_are_cataloged() {
-        let everything = "use std::collections::HashMap;\nlet t = Instant::now();\n\
-                          let v = std::env::var(\"X\");\nlet r = thread_rng();\n\
+        let everything = "let r = thread_rng();\n\
                           fn f(budget_w: f64, freq_mhz: u32) {}\nstruct S { power: f64 }\n\
                           pub fn draw_w() -> f64 { 0.0 }\nuse soc_health::Recorder;\n\
                           fn g() { x.unwrap(); panic!(); let t = now_s as u64; }";
@@ -682,9 +589,6 @@ mod tests {
 
     #[test]
     fn one_diagnostic_per_lint_per_line() {
-        assert_eq!(
-            sim("let m: HashMap<u32, HashMap<u32, u32>> = HashMap::new();").len(),
-            1
-        );
+        assert_eq!(sim("let r: rand::Rng = rand::thread_rng();").len(), 1);
     }
 }

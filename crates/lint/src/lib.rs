@@ -18,14 +18,15 @@
 //! and builds the workspace crate-dependency and call graphs ([`graph`]).
 //! On top of those it enforces the catalog in [`catalog`]: A-lints
 //! (architecture layering, per the `[layers]` tables in `lint.toml`),
-//! D-lints (determinism), U-lints (units), R-lints (robustness) — per-file
-//! token queries in [`checks`], graph passes in [`workspace`] and
-//! [`taint`]. The taint passes catch what no per-file query can: a
-//! sim-state crate laundering a wall-clock read or a panic through a
-//! helper crate that lints clean on its own. Pre-existing violations
-//! ratchet down through `lint.toml` ([`allowlist`]): every waiver carries
-//! a written justification, stale waivers fail the check, and the ratchet
-//! pins the entry count to a committed baseline.
+//! D-lints (determinism: D004 and the D006 taint pass; D001–D003 and D005
+//! are clippy's, in the root `clippy.toml`), U-lints (units), R-lints
+//! (robustness) — per-file token queries in [`checks`], graph passes in
+//! [`workspace`] and [`taint`]. The taint passes catch what no per-file
+//! query can: a sim-state crate laundering a wall-clock read or a panic
+//! through a helper crate that lints clean on its own. Pre-existing
+//! violations ratchet down through `lint.toml` ([`allowlist`]): every
+//! waiver carries a written justification, stale waivers fail the check,
+//! and the ratchet pins the entry count to a committed baseline.
 //!
 //! ```text
 //! cargo run -p soc-lint -- check          # human diagnostics, exit 1 on violations

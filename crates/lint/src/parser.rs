@@ -3,8 +3,9 @@
 //! qualified paths).
 //!
 //! This is the substrate the semantic passes run on. The per-file token
-//! lints (D001–D005, R001–R003) need only the flat stream; the workspace
-//! passes need to know *which function* a token belongs to (R004 panic
+//! lints (D004, R001–R003) need only the flat stream; the unit lints
+//! (U001–U004) read the parsed signatures and fields; the workspace passes
+//! need to know *which function* a token belongs to (R004 panic
 //! reachability), *who calls whom* (D006 determinism taint), and *which
 //! crates a file references* (A001/A002 architecture layering). Like the
 //! lexer, this is deliberately not a full parser: item headers and brace
@@ -55,15 +56,6 @@ pub struct FnItem {
     pub calls: Vec<CallSite>,
 }
 
-/// One parsed struct with named fields.
-#[derive(Debug, Clone)]
-pub struct StructItem {
-    pub name: String,
-    pub line: u32,
-    pub in_test: bool,
-    pub fields: Vec<Binding>,
-}
-
 /// A path-root reference: `use NAME::…` or `NAME::…` in expression or type
 /// position. The dependency graph filters these against the set of actual
 /// workspace crates.
@@ -78,7 +70,8 @@ pub struct PathRoot {
 #[derive(Debug, Default)]
 pub struct FileModel {
     pub fns: Vec<FnItem>,
-    pub structs: Vec<StructItem>,
+    /// The named fields of every braced struct, in source order.
+    pub fields: Vec<Binding>,
     pub path_roots: Vec<PathRoot>,
 }
 
@@ -101,13 +94,8 @@ pub fn parse_file(src: &SourceFile) -> FileModel {
                 continue;
             }
         } else if toks[i].is_ident("struct") {
-            if let Some((fields, name, line, end)) = struct_fields(toks, i) {
-                model.structs.push(StructItem {
-                    name,
-                    line,
-                    in_test: src.in_test[i],
-                    fields,
-                });
+            if let Some((fields, end)) = struct_fields(toks, i) {
+                model.fields.extend(fields);
                 i = end;
                 continue;
             }
@@ -333,7 +321,7 @@ fn collect_path_roots(src: &SourceFile) -> Vec<PathRoot> {
 /// `(params, index past the closing paren)`; each param is
 /// `(name, line, type tokens)`. Self receivers and non-identifier patterns
 /// are skipped.
-pub fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)> {
+fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)> {
     let mut i = fn_idx + 1;
     // fn name, possibly with generics before the paren.
     if !toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident) {
@@ -364,18 +352,12 @@ pub fn fn_params(toks: &[Token], fn_idx: usize) -> Option<(Vec<Binding>, usize)>
 }
 
 /// Parse the fields of the braced `struct` at `struct_idx`. Tuple and unit
-/// structs yield no item. Returns `(fields, name, line, index past the
-/// closing brace)`.
-pub fn struct_fields(
-    toks: &[Token],
-    struct_idx: usize,
-) -> Option<(Vec<Binding>, String, u32, usize)> {
+/// structs yield no item. Returns `(fields, index past the closing brace)`.
+fn struct_fields(toks: &[Token], struct_idx: usize) -> Option<(Vec<Binding>, usize)> {
     let mut i = struct_idx + 1;
     if !toks.get(i).is_some_and(|t| t.kind == TokenKind::Ident) {
         return None;
     }
-    let name = toks[i].text.clone();
-    let line = toks[i].line;
     i += 1;
     if toks.get(i).is_some_and(|t| t.is_punct("<")) {
         i = skip_angles(toks, i)?;
@@ -414,11 +396,11 @@ pub fn struct_fields(
         }
         fields.push((fname.text.clone(), fname.line, ty.to_vec()));
     }
-    Some((fields, name, line, close + 1))
+    Some((fields, close + 1))
 }
 
 /// Split a token slice at top-level commas (tracking `()`, `[]`, `{}`, `<>`).
-pub fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
+fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
     let mut groups = Vec::new();
     let mut depth = 0i32;
     let mut start = 0;
@@ -443,7 +425,7 @@ pub fn split_commas(toks: &[Token]) -> Vec<&[Token]> {
 }
 
 /// Skip a `<…>` generics group starting at `open`; returns index past `>`.
-pub fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
+fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct("<") {
@@ -459,7 +441,7 @@ pub fn skip_angles(toks: &[Token], open: usize) -> Option<usize> {
 }
 
 /// Index of the closer matching the opener at `open`.
-pub fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
+fn matching_punct(toks: &[Token], open: usize, o: &str, c: &str) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.is_punct(o) {
@@ -574,10 +556,12 @@ mod tests {
 
     #[test]
     fn structs_with_fields() {
-        let m = model("pub struct Server { pub budget: Watts, name: String }\nstruct Unit;");
-        assert_eq!(m.structs.len(), 1);
-        assert_eq!(m.structs[0].name, "Server");
-        assert_eq!(m.structs[0].fields.len(), 2);
+        let m = model(
+            "pub struct Server { pub budget: Watts, #[doc(hidden)] pub(crate) name: String }\n\
+             struct Unit;\nstruct Pair(u32, u32);",
+        );
+        let fields: Vec<(&str, u32)> = m.fields.iter().map(|f| (f.0.as_str(), f.1)).collect();
+        assert_eq!(fields, [("budget", 1), ("name", 1)]);
     }
 
     #[test]

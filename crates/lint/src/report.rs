@@ -114,10 +114,10 @@ mod tests {
     fn report() -> CheckReport {
         CheckReport {
             blocking: vec![Diagnostic {
-                lint: "D001",
+                lint: "D004",
                 path: "crates/power/src/x.rs".to_string(),
                 line: 7,
-                message: "HashMap in sim-state crate `power`".to_string(),
+                message: "thread_rng in sim-state crate `power`".to_string(),
             }],
             waived: vec![],
             stale: vec![AllowEntry {
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn human_render_includes_position_and_stale() {
         let text = report().render_human();
-        assert!(text.contains("crates/power/src/x.rs:7: D001"));
+        assert!(text.contains("crates/power/src/x.rs:7: D004"));
         assert!(text.contains("stale lint.toml entries"));
         assert!(text.contains("files analyzed: 12; 1 blocking"));
     }
@@ -142,7 +142,7 @@ mod tests {
     fn json_render_is_wellformed() {
         let json = report().render_json();
         assert!(json.starts_with("{\"files\":12,"));
-        assert!(json.contains("\"blocking\":[{\"lint\":\"D001\""));
+        assert!(json.contains("\"blocking\":[{\"lint\":\"D004\""));
         assert!(json.contains(
             "\"stale\":[{\"lint\":\"R001\",\"path\":\"crates/core/src/y.rs\",\"line\":3}]"
         ));

@@ -103,10 +103,10 @@ mod tests {
     fn report() -> CheckReport {
         CheckReport {
             blocking: vec![Diagnostic {
-                lint: "D001",
+                lint: "D004",
                 path: "crates/power/src/x.rs".to_string(),
                 line: 7,
-                message: "HashMap in sim-state \"crate\"".to_string(),
+                message: "thread_rng in sim-state \"crate\"".to_string(),
             }],
             waived: vec![Diagnostic {
                 lint: "R001",
@@ -147,7 +147,7 @@ mod tests {
             );
         }
         // The blocking result points at the right file/line and rule.
-        assert!(sarif.contains("\"ruleId\":\"D001\""));
+        assert!(sarif.contains("\"ruleId\":\"D004\""));
         assert!(sarif.contains("\"uri\":\"crates/power/src/x.rs\""));
         assert!(sarif.contains("\"startLine\":7"));
         // The waived result is suppressed with its lint.toml justification.
@@ -155,7 +155,7 @@ mod tests {
             "\"suppressions\":[{\"kind\":\"external\",\"justification\":\"non-empty by construction\"}]"
         ));
         // Escaping survives into the message text.
-        assert!(sarif.contains("HashMap in sim-state \\\"crate\\\""));
+        assert!(sarif.contains("thread_rng in sim-state \\\"crate\\\""));
         // Exactly one run, results array closes the document.
         assert!(sarif.trim_end().ends_with("]}]}"));
     }
@@ -163,8 +163,8 @@ mod tests {
     #[test]
     fn rule_indices_match_catalog_positions() {
         let sarif = render_sarif(&report(), &Allowlist::default());
-        let d001_pos = CATALOG.iter().position(|l| l.id == "D001").unwrap();
-        assert!(sarif.contains(&format!("\"ruleId\":\"D001\",\"ruleIndex\":{d001_pos}")));
+        let d004_pos = CATALOG.iter().position(|l| l.id == "D004").unwrap();
+        assert!(sarif.contains(&format!("\"ruleId\":\"D004\",\"ruleIndex\":{d004_pos}")));
     }
 
     #[test]

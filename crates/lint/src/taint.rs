@@ -1,8 +1,9 @@
 //! Call-graph taint passes: D006 (determinism) and R004 (panic
 //! reachability).
 //!
-//! The per-file D-lints catch a wall-clock read *written in* a sim-state
-//! crate, but not one *laundered through* a helper: a crate in an allowed
+//! The direct determinism rules (clippy's D002/D003, soc-lint's D004) catch
+//! a wall-clock read *written in* a sim-state crate, but not one *laundered
+//! through* a helper: a crate in an allowed
 //! layer wraps `SystemTime::now()` in `now_ms()` and the sim calls the
 //! wrapper — every file lints clean, the run is still non-deterministic.
 //! D006 closes that hole by propagating taint from non-deterministic
@@ -20,10 +21,10 @@
 //! re-flagged here.
 
 use crate::allowlist::Allowlist;
-use crate::checks::{is_crate_use, path_prefix, Diagnostic};
+use crate::checks::{is_crate_use, panic_call, Diagnostic};
 use crate::config::Layers;
 use crate::graph::CallGraph;
-use crate::lexer::TokenKind;
+use crate::lexer::{Token, TokenKind};
 use crate::parser::FileModel;
 use crate::source::SourceFile;
 use std::collections::{BTreeSet, VecDeque};
@@ -122,6 +123,11 @@ fn render_chain(
 
 // ------------------------------------------------------------------- D006 --
 
+/// Is token `i` the segment right after `prefix ::`?
+fn path_prefix(toks: &[Token], i: usize, prefix: &str) -> bool {
+    i >= 2 && toks[i - 1].is_punct("::") && toks[i - 2].is_ident(prefix)
+}
+
 /// Find the first non-deterministic source in a fn body: wall clock,
 /// process environment, or OS-seeded randomness — the same sources
 /// D002/D003/D004 flag directly inside sim-state crates.
@@ -217,65 +223,32 @@ const NONINDEX_KEYWORDS: &[&str] = &[
     "let", "in", "return", "if", "while", "match", "else", "move", "mut", "ref", "box", "yield",
 ];
 
-/// Collect the panic sites in one fn body: the R001/R002 patterns plus
+/// Collect the panic sites in one fn body: the R001/R002 calls plus
 /// slice/array indexing (`xs[i]` panics on out-of-bounds).
 fn direct_panic_sites(src: &SourceFile, body: (usize, usize)) -> Vec<PanicSite> {
     let toks = &src.tokens;
     let mut sites = Vec::new();
     for i in body.0 + 1..body.1 {
         let t = &toks[i];
-        match t.text.as_str() {
-            "unwrap"
-                if t.kind == TokenKind::Ident
-                    && i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.is_punct(")")) =>
-            {
+        if let Some(call) = panic_call(toks, i) {
+            sites.push(PanicSite {
+                desc: call.desc(),
+                line: t.line,
+                waiver: call.lint(),
+            });
+        } else if t.is_punct("[") && i >= 1 {
+            let prev = &toks[i - 1];
+            let indexes_a_value = (prev.kind == TokenKind::Ident
+                && !NONINDEX_KEYWORDS.contains(&prev.text.as_str()))
+                || prev.is_punct(")")
+                || prev.is_punct("]");
+            if indexes_a_value {
                 sites.push(PanicSite {
-                    desc: ".unwrap()",
+                    desc: "slice indexing",
                     line: t.line,
-                    waiver: "R001",
+                    waiver: "R004",
                 });
             }
-            "expect"
-                if t.kind == TokenKind::Ident
-                    && i >= 1
-                    && toks[i - 1].is_punct(".")
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("("))
-                    && toks.get(i + 2).is_some_and(|n| n.text == "\"…\"") =>
-            {
-                sites.push(PanicSite {
-                    desc: ".expect(\"…\")",
-                    line: t.line,
-                    waiver: "R001",
-                });
-            }
-            "panic" | "todo" | "unimplemented"
-                if t.kind == TokenKind::Ident
-                    && toks.get(i + 1).is_some_and(|n| n.is_punct("!")) =>
-            {
-                sites.push(PanicSite {
-                    desc: "a panic!-family macro",
-                    line: t.line,
-                    waiver: "R002",
-                });
-            }
-            "[" if t.kind == TokenKind::Punct && i >= 1 => {
-                let prev = &toks[i - 1];
-                let indexes_a_value = (prev.kind == TokenKind::Ident
-                    && !NONINDEX_KEYWORDS.contains(&prev.text.as_str()))
-                    || prev.is_punct(")")
-                    || prev.is_punct("]");
-                if indexes_a_value {
-                    sites.push(PanicSite {
-                        desc: "slice indexing",
-                        line: t.line,
-                        waiver: "R004",
-                    });
-                }
-            }
-            _ => {}
         }
     }
     sites

@@ -1,36 +1,17 @@
-//! Known-bad fixture: every determinism lint fires in here. The expected
-//! diagnostics are pinned in `determinism.expected`; this file is never
-//! compiled (it lives under tests/fixtures, not in any crate's src tree).
+//! Known-bad fixture: every determinism lint soc-lint still owns (D004)
+//! fires in here. The expected diagnostics are pinned in
+//! `determinism.expected`; this file is never compiled (it lives under
+//! tests/fixtures, not in any crate's src tree). The std-only determinism
+//! rules (D001-D003, D005) are clippy's: see `../clippy_bad/`.
 
-use std::collections::HashMap;
-use std::collections::HashSet;
-use std::time::Instant;
 use rand::Rng;
-
-struct SimState {
-    table: HashMap<u32, u32>,
-    seen: HashSet<u32>,
-}
-
-fn wall_clock_tick() -> u64 {
-    let started = Instant::now();
-    let stamp = std::time::SystemTime::now();
-    let _ = (started, stamp);
-    0
-}
-
-fn configured_mode() -> String {
-    std::env::var("SOC_MODE").unwrap_or_default()
-}
 
 fn jitter() -> f64 {
     let mut rng = rand::thread_rng();
     rng.gen()
 }
 
-fn spawn_workers() {
-    let (tx, rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || tx.send(1));
+fn queue() {
     let q = crossbeam::channel::unbounded::<u32>();
-    let _ = (rx, q);
+    let _ = q;
 }

@@ -1,7 +1,7 @@
 //! # soc-prof — wall-clock performance observability for SmartOClock
 //!
 //! The workspace's sim-state crates are forbidden from reading the wall
-//! clock (soc-lint D002): a seed must fully determine every byte they
+//! clock (D002 in the root `clippy.toml`): a seed must fully determine every byte they
 //! compute. But ROADMAP direction 1 ("100k racks, a simulated week in
 //! seconds") needs exactly the numbers determinism forbids — wall time per
 //! phase, racks per second, memory high-water marks. This crate is the

@@ -6,11 +6,12 @@
 //! What makes naive threading unacceptable here is *ordering*: the workspace
 //! guarantees byte-identical traces per seed, and scheduler-dependent
 //! interleaving breaks that. This module is the one sanctioned threading
-//! primitive for sim-state crates (soc-lint D005 forbids `std::thread` and
-//! channels elsewhere): it shards work deterministically, runs shards on
-//! scoped worker threads, and merges results back **in canonical input
-//! order**, so the output of [`par_map`] is a pure function of its inputs —
-//! independent of thread count, core count, and scheduling.
+//! primitive for sim-state crates (the D005 rules in the root `clippy.toml`
+//! forbid `std::thread` and channels elsewhere): it shards work
+//! deterministically, runs shards on scoped worker threads, and merges
+//! results back **in canonical input order**, so the output of [`par_map`]
+//! is a pure function of its inputs — independent of thread count, core
+//! count, and scheduling.
 //!
 //! Design rules that keep this true:
 //!
@@ -70,6 +71,10 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// # Panics
 /// Re-raises the payload of the first (lowest worker index) panicking
 /// worker after all workers have been joined.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "D005: this is the sanctioned sharding primitive; it spawns scoped threads but merges shard results in canonical input order"
+)]
 pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
