@@ -165,6 +165,26 @@ impl PowerModel {
         self.idle + self.core_power(utilization, frequency) * self.cores as f64
     }
 
+    /// Precompute the frequency-dependent factor of
+    /// [`server_power_uniform`] for one fixed frequency.
+    ///
+    /// Trace generation evaluates the server's power once per server-step,
+    /// always at turbo; the `dynamic_power_factor` inside (two `voltage`
+    /// calls and a division) is a pure function of the constant plan and
+    /// frequency. [`UniformPowerFn::at`] performs the per-call form's exact
+    /// floating-point operation sequence on the hoisted factor, so its
+    /// results are bit-identical (pinned by a property test below).
+    ///
+    /// [`server_power_uniform`]: PowerModel::server_power_uniform
+    pub fn uniform_power_fn(&self, frequency: MegaHertz) -> UniformPowerFn {
+        UniformPowerFn {
+            idle: self.idle,
+            per_core_dyn_turbo: self.per_core_dyn_turbo,
+            dpf: self.curve.dynamic_power_factor(frequency),
+            cores: self.cores as f64,
+        }
+    }
+
     /// Server power when `oc_cores` cores run overclocked at `oc_freq` and
     /// the rest at turbo, all at `utilization`. This is the shape the gOA's
     /// power-budget computation reasons about (§IV-C).
@@ -282,6 +302,33 @@ impl OverclockDeltaFn {
     }
 }
 
+/// [`PowerModel::server_power_uniform`] with its frequency factor hoisted;
+/// see [`PowerModel::uniform_power_fn`].
+#[derive(Debug, Clone, Copy)]
+pub struct UniformPowerFn {
+    idle: Watts,
+    per_core_dyn_turbo: Watts,
+    dpf: f64,
+    cores: f64,
+}
+
+impl UniformPowerFn {
+    /// Server power with every core at `utilization`, bit-identical to
+    /// `server_power_uniform(utilization, frequency)` on the model and
+    /// frequency this was built from: `idle + per_core · (u · dpf) · cores`,
+    /// folded in that order.
+    ///
+    /// # Panics
+    /// Panics if `utilization` is outside `[0, 1]`, like the per-call form.
+    pub fn at(&self, utilization: f64) -> Watts {
+        assert!(
+            (0.0..=1.0).contains(&utilization),
+            "utilization must be in [0, 1], got {utilization}"
+        );
+        self.idle + self.per_core_dyn_turbo * (utilization * self.dpf) * self.cores
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,6 +439,19 @@ mod tests {
             let (r, e) = m.split_regular_overclock(observed, oc, m.plan().max_overclock());
             prop_assert!(((r + e) - observed).get().abs() < 1e-6);
             prop_assert!(r.get() >= 0.0 && e.get() >= 0.0);
+        }
+
+        #[test]
+        fn hoisted_uniform_power_is_bit_identical(util in 0.0..=1.0f64, f in 2450u32..=4100) {
+            // The trace generator hoists the turbo factor out of its step
+            // loop; its pinned traces need bit equality.
+            let freq = MegaHertz::new(f);
+            for m in [model(), PowerModel::intel_reference_server()] {
+                prop_assert_eq!(
+                    m.uniform_power_fn(freq).at(util).get().to_bits(),
+                    m.server_power_uniform(util, freq).get().to_bits()
+                );
+            }
         }
 
         #[test]

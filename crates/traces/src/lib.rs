@@ -28,7 +28,3 @@ pub mod fleet;
 pub mod gen;
 pub mod services;
 pub mod shape;
-
-pub use fleet::{FleetTrace, RackTrace, ServerTrace};
-pub use gen::{FleetConfig, TraceGenerator};
-pub use shape::LoadShape;
