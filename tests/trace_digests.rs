@@ -1,17 +1,18 @@
 //! Trace-generator digest matrix: every byte `TraceGenerator` produces,
 //! pinned config by config in `tests/fixtures/trace_digests.txt`.
 //!
-//! Each fixture line is one generator config: a label, a few readable
-//! counts, and a 64-bit FNV-1a digest over the fleet's observable output —
-//! region, and per rack its index, CPU generation, limit, rack power and
-//! (when kept) every server's three series, each as raw `f64` bits with the
-//! series' start, step and length. The configs cover the shapes the
-//! generator's fast paths must agree with its plain per-step evaluation on:
-//! steps that divide a day, a step that divides a week but not a day, a
-//! step that divides neither, spans shorter than a week and spans of
-//! partial weeks, every VM churning, every day an outlier, and per-server
-//! series both kept and dropped. To regenerate after an *intentional*
-//! behavior change:
+//! The first line names the noise stream the digests were taken at
+//! (`soc_traces::gen::NOISE_STREAM`). Each further line is one generator
+//! config: a label, a few readable counts, and a 64-bit FNV-1a digest over
+//! the fleet's observable output — region, and per rack its index, CPU
+//! generation, limit, rack power and (when kept) every server's three
+//! series, each as raw `f64` bits with the series' start, step and length.
+//! The configs cover the shapes the generator's fast paths must agree with
+//! its plain per-step evaluation on: steps that divide a day, a step that
+//! divides a week but not a day, a step that divides neither, spans
+//! shorter than a week and spans of partial weeks, every VM churning,
+//! every day an outlier, and per-server series both kept and dropped. To
+//! regenerate after an *intentional* behavior change:
 //!
 //! ```text
 //! SOC_UPDATE_GOLDEN=1 cargo test -p soc-bench --test trace_digests
@@ -22,7 +23,7 @@
 use simcore::series::TimeSeries;
 use simcore::time::SimDuration;
 use soc_traces::fleet::{FleetTrace, RackTrace};
-use soc_traces::gen::{FleetConfig, TraceGenerator};
+use soc_traces::gen::{FleetConfig, TraceGenerator, NOISE_STREAM};
 
 const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -154,7 +155,7 @@ fn digest_line(label: &str, fleet: &FleetTrace) -> String {
 }
 
 fn observed() -> Vec<String> {
-    let mut lines = Vec::new();
+    let mut lines = vec![format!("noise_stream={NOISE_STREAM}")];
     for c in cases() {
         let generator = TraceGenerator::new(c.seed);
         lines.push(digest_line(c.label, &generator.generate(&c.config)));
