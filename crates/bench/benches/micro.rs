@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the hot paths: the event queue, the power model, trace
-//! generation, the template build/predict pipeline, and one sOA control tick.
+//! generation and its normal draws, the template build/predict pipeline, and
+//! one sOA control tick.
 //!
 //! These are the operations the per-server agent performs continuously in
 //! production; the paper stresses that an sOA "can start/stop overclocking
@@ -8,6 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use simcore::event::EventQueue;
+use simcore::rng::Pcg32;
 use simcore::series::TimeSeries;
 use simcore::time::{SimDuration, SimTime};
 use smartoclock::config::SoaConfig;
@@ -82,6 +84,34 @@ fn bench_trace_gen(c: &mut Criterion) {
     });
 }
 
+/// 10,000 standard normals per iteration, in 1,000 blocks of ten (a paper
+/// server's step draws one per VM slot, 9.4 on average): Box–Muller one at
+/// a time, the sampler behind noise stream 1, against one polar-method
+/// fill per block, stream 2. Divide by 10,000 for ns per normal.
+fn bench_normals(c: &mut Criterion) {
+    const BLOCKS: usize = 1_000;
+    let mut rng = Pcg32::seed_from_u64(42);
+    let mut block = [0.0; 10];
+    c.bench_function("normal_box_muller", |b| {
+        b.iter(|| {
+            for _ in 0..BLOCKS {
+                for z in &mut block {
+                    *z = rng.sample_standard_normal();
+                }
+                black_box(&block);
+            }
+        })
+    });
+    c.bench_function("normal_fill_polar", |b| {
+        b.iter(|| {
+            for _ in 0..BLOCKS {
+                rng.fill_standard_normal(&mut block);
+                black_box(&block);
+            }
+        })
+    });
+}
+
 fn bench_templates(c: &mut Criterion) {
     let history = week_history();
     c.bench_function("template_build_dailymed_1week_5min", |b| {
@@ -132,6 +162,7 @@ criterion_group!(
     bench_event_queue,
     bench_power_model,
     bench_trace_gen,
+    bench_normals,
     bench_templates,
     bench_soa_tick
 );
